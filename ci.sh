@@ -46,6 +46,16 @@ for name in micro table1 fig3 fig4 ablation fs_compare table2 table3 track_util 
     || { echo "run_all --quick did not produce BENCH_$name.json" >&2; exit 1; }
 done
 
+echo "== virtual-time fixed point (run_all --quick artifacts match committed digests) =="
+# Every quick artifact is virtual-time only, so a change that should not
+# move results (a performance or refactoring change) must reproduce each
+# one byte for byte. A change that moves results on purpose regenerates
+# perf/run_all_quick.sha256 with `sha256sum BENCH_*.json` in its output
+# directory and says why.
+digests="$PWD/perf/run_all_quick.sha256"
+(cd "$smoke_dir" && sha256sum --quiet -c "$digests") \
+  || { echo "run_all --quick artifacts differ from perf/run_all_quick.sha256" >&2; exit 1; }
+
 echo "== fault-plane gate =="
 # FaultPlan on the stack's FaultClock is the one way harnesses schedule
 # faults; the retired ad-hoc hooks must not creep back in. (The volume's

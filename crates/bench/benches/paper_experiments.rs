@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use trail_bench::{sync_writes_standard, sync_writes_trail, tpcc_setup, ArrivalMode, TpccRig};
-use trail_core::format::{build_record, PayloadSector, RecordHeader};
+use trail_core::format::{build_record, payload_checksum, PayloadRun, RecordHeader};
 use trail_core::{HeadPredictor, TrailConfig};
 use trail_db::FlushPolicy;
 use trail_disk::{profiles, SectorBuf, SECTOR_SIZE};
@@ -39,18 +39,26 @@ fn bench_prediction(c: &mut Criterion) {
 }
 
 fn bench_record_codec(c: &mut Criterion) {
-    let payload: Vec<PayloadSector> = (0..32)
-        .map(|i| PayloadSector {
-            data_major: 1,
-            data_minor: 0,
-            data_lba: 1000 + i,
-            data: [i as u8; SECTOR_SIZE],
-        })
-        .collect();
+    // 32 one-block writes, each its own run (the driver's batch shape).
+    let blocks: Vec<[u8; SECTOR_SIZE]> = (0..32).map(|i| [i as u8; SECTOR_SIZE]).collect();
+    let runs = || {
+        blocks
+            .iter()
+            .zip(1000..)
+            .map(|(data, data_lba)| PayloadRun {
+                data_major: 1,
+                data_minor: 0,
+                data_lba,
+                data,
+            })
+    };
     c.bench_function("build_record_32_sectors", |b| {
-        b.iter(|| black_box(build_record(3, 42, Some(77), 50, 40, 2000, &payload).unwrap()))
+        b.iter(|| black_box(build_record(3, 42, Some(77), 50, 40, 2000, runs()).unwrap()))
     });
-    let (_, bytes) = build_record(3, 42, Some(77), 50, 40, 2000, &payload).unwrap();
+    let bytes = build_record(3, 42, Some(77), 50, 40, 2000, runs()).unwrap();
+    c.bench_function("payload_checksum_32_sectors", |b| {
+        b.iter(|| black_box(payload_checksum(&bytes[SECTOR_SIZE..])))
+    });
     let header: SectorBuf = bytes[..SECTOR_SIZE].try_into().unwrap();
     c.bench_function("decode_record_header", |b| {
         b.iter(|| black_box(RecordHeader::decode(&header).unwrap()))

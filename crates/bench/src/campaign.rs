@@ -161,6 +161,13 @@ pub fn aggregate(writes: usize, outcomes: &[CrashPointOutcome]) -> CampaignAggre
 /// are *counted*, not panicked on).
 #[must_use]
 pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> Vec<CrashPointOutcome> {
+    parallel_map(crash_cuts(spec), threads, |cut| {
+        crash_point(spec, cut, run_workload(spec, Some(cut)))
+    })
+}
+
+/// The campaign's crash instants, from an uncrashed probe run.
+fn crash_cuts(spec: &CampaignSpec) -> Vec<SimDuration> {
     let probe = run_workload(spec, None);
     assert_eq!(
         probe.acked.len(),
@@ -170,13 +177,12 @@ pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> Vec<CrashPointOutcom
     let duration_ns = probe.last_ack.as_nanos().max(1);
     // Midpoint sampling: cut k of n lands at (2k+1)/(2n) of the workload,
     // so no cut falls on the degenerate endpoints.
-    let cuts: Vec<SimDuration> = (0..spec.crash_points)
+    (0..spec.crash_points)
         .map(|k| {
             let num = u128::from(duration_ns) * (2 * k as u128 + 1);
             SimDuration::from_nanos((num / (2 * spec.crash_points as u128)) as u64)
         })
-        .collect();
-    parallel_map(cuts, threads, |cut| crash_point(spec, cut))
+        .collect()
 }
 
 /// Observer sink: records that the planned cut fired. Returns `false` so
@@ -299,10 +305,9 @@ fn run_workload(spec: &CampaignSpec, cut: Option<SimDuration>) -> WorkloadRun {
     }
 }
 
-/// Crashes the workload at `cut`, reboots, recovers, and checks the
+/// Reboots the workload `run` crashed at `cut`, recovers, and checks the
 /// durability contract.
-fn crash_point(spec: &CampaignSpec, cut: SimDuration) -> CrashPointOutcome {
-    let run = run_workload(spec, Some(cut));
+fn crash_point(spec: &CampaignSpec, cut: SimDuration, run: WorkloadRun) -> CrashPointOutcome {
     assert!(run.crashed, "the armed power cut must fire");
 
     run.log.power_on();
@@ -434,6 +439,38 @@ mod tests {
             assert_eq!(x.violations, 0);
             assert_eq!(y.violations, 0);
         }
+    }
+
+    #[test]
+    fn raw_disk_crash_points_free_their_stacks() {
+        // A whole-system cut strands Trail write-backs in the data-disk
+        // queues; the stack must still be freed once the point is done.
+        // Each point runs here exactly as `run_campaign` runs it, holding
+        // weak handles to the stack's disks.
+        let spec = CampaignSpec {
+            flavor: CampaignFlavor::RawDisks,
+            writes: 64,
+            crash_points: 16,
+            seed: 3,
+        };
+        let mut stranded = 0;
+        for cut in crash_cuts(&spec) {
+            let run = run_workload(&spec, Some(cut));
+            stranded += run.pending;
+            let disks: Vec<_> = std::iter::once(&run.log)
+                .chain(&run.data)
+                .map(Disk::downgrade)
+                .collect();
+            let outcome = crash_point(&spec, cut, run);
+            assert_eq!(outcome.violations, 0);
+            for d in &disks {
+                assert!(
+                    d.upgrade().is_none(),
+                    "cut at {cut}: a stack disk outlived its crash point"
+                );
+            }
+        }
+        assert!(stranded > 0, "no point stranded a write-back");
     }
 
     #[test]

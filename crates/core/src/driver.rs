@@ -32,8 +32,7 @@ use trail_blockio::{
     Clook, IoDone, IoRequest, Priority, SharedBlockDevice, StandardDriver, TapHandle,
 };
 use trail_disk::{
-    CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, Lba, SectorBuf, ServiceBreakdown,
-    SECTOR_SIZE,
+    CommandKind, Disk, DiskCommand, DiskGeometry, DiskResult, Lba, ServiceBreakdown, SECTOR_SIZE,
 };
 use trail_sim::{Completion, Delivered, EventId, LatencySummary, SimDuration, SimTime, Simulator};
 use trail_telemetry::{
@@ -43,7 +42,7 @@ use trail_telemetry::{
 use crate::buffer::{BlockKey, BufferTable, WritebackOutcome};
 use crate::config::TrailConfig;
 use crate::error::TrailError;
-use crate::format::{build_record, LogDiskHeader, PayloadSector};
+use crate::format::{build_record, LogDiskHeader, PayloadRun};
 use crate::formatter::{data_track_range, read_header, write_header};
 use crate::predict::HeadPredictor;
 use crate::recovery::{recover, RecoveryOptions, RecoveryReport};
@@ -855,32 +854,19 @@ impl TrailDriver {
             Some((&oldest_seq, rec)) => (rec.header_lba, oldest_seq),
             None => (header_lba as u32, seq),
         };
-        let payload: Vec<PayloadSector> = batch
-            .iter()
-            .flat_map(|w| {
-                w.data
-                    .chunks_exact(SECTOR_SIZE)
-                    .enumerate()
-                    .map(move |(i, chunk)| {
-                        let mut buf: SectorBuf = [0u8; SECTOR_SIZE];
-                        buf.copy_from_slice(chunk);
-                        PayloadSector {
-                            data_major: w.dev,
-                            data_minor: 0,
-                            data_lba: (w.lba + i as u64) as u32,
-                            data: buf,
-                        }
-                    })
-            })
-            .collect();
-        let (_, bytes) = build_record(
+        let bytes = build_record(
             d.epoch,
             seq,
             d.prev_record_lba,
             log_head_lba,
             log_head_seq,
             header_lba as u32,
-            &payload,
+            batch.iter().map(|w| PayloadRun {
+                data_major: w.dev,
+                data_minor: 0,
+                data_lba: w.lba as u32,
+                data: &w.data,
+            }),
         )
         .expect("batch bounded by MAX_TRAIL_BATCH");
         d.prev_record_lba = Some(header_lba as u32);
@@ -899,7 +885,7 @@ impl TrailDriver {
         }
     }
 
-    fn on_log_write_done(&self, sim: &mut Simulator, res: DiskResult, ctx: RecordCtx) {
+    fn on_log_write_done(&self, sim: &mut Simulator, res: DiskResult, mut ctx: RecordCtx) {
         let completed = res.completed;
         let mut acks: Vec<(Completion<IoDone>, IoDone)> = Vec::new();
         let mut writebacks: Vec<BlockKey> = Vec::new();
@@ -917,12 +903,15 @@ impl TrailDriver {
             d.stats.batch_sizes.push(ctx.total_sectors);
 
             let mut pending = HashSet::new();
-            for w in &ctx.batch {
+            for w in &mut ctx.batch {
                 let key = BlockKey {
                     dev: w.dev,
                     lba: w.lba,
                 };
-                let (_, already_queued) = d.buffers.insert_write(key, w.data.clone(), ctx.seq);
+                // The record is on the log disk; the payload moves into
+                // the pinned buffer instead of being copied.
+                let data = std::mem::take(&mut w.data);
+                let (_, already_queued) = d.buffers.insert_write(key, data, ctx.seq);
                 pending.insert(key);
                 if !already_queued {
                     writebacks.push(key);
@@ -1140,12 +1129,15 @@ impl TrailDriver {
                 lba: key.lba,
             },
         );
-        let driver = self.clone();
-        // A cancelled delivery means the machine lost power with the
-        // write-back in flight; recovery at next boot re-issues it.
+        // The token waits in the data target's queue, which this driver
+        // owns, so it holds the driver weakly: a strong capture would be a
+        // reference cycle keeping a torn-down stack alive. A cancelled
+        // delivery means the machine lost power with the write-back in
+        // flight; recovery at next boot re-issues it.
+        let driver = Rc::downgrade(&self.inner);
         let wb = sim.completion(move |sim, d| {
-            if d.is_ok() {
-                driver.on_writeback_done(sim, key, version);
+            if let (Ok(_), Some(inner)) = (d, driver.upgrade()) {
+                TrailDriver { inner }.on_writeback_done(sim, key, version);
             }
         });
         tolerate_power_loss(

@@ -87,7 +87,7 @@ pub fn format_log_disk(
         clean: true,
         rotation_period,
         delta,
-        geometry: geometry.clone(),
+        geometry: DiskGeometry::clone(&geometry),
     };
     write_header(sim, disk, &header)?;
     Ok(FormatReport {

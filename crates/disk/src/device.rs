@@ -10,7 +10,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use trail_sim::{
     BusyMeter, Completion, Fault, FaultKind, FaultSink, FaultTarget, LatencySummary, SimDuration,
@@ -164,7 +164,7 @@ struct StagedWrite {
 
 struct DiskInner {
     name: String,
-    geometry: DiskGeometry,
+    geometry: Rc<DiskGeometry>,
     mech: MechanicalModel,
     store: SectorStore,
     head: HeadPosition,
@@ -216,6 +216,20 @@ pub struct Disk {
     inner: Rc<RefCell<DiskInner>>,
 }
 
+/// A non-owning handle to a [`Disk`], from [`Disk::downgrade`]. Tests use
+/// it to check that tearing a stack down really frees its devices.
+#[derive(Clone)]
+pub struct WeakDisk {
+    inner: Weak<RefCell<DiskInner>>,
+}
+
+impl WeakDisk {
+    /// The disk, if any strong handle to it is still alive.
+    pub fn upgrade(&self) -> Option<Disk> {
+        self.inner.upgrade().map(|inner| Disk { inner })
+    }
+}
+
 impl Disk {
     /// Creates a powered-on disk with an all-zero medium and the arm on
     /// cylinder 0, surface 0.
@@ -224,7 +238,7 @@ impl Disk {
         Disk {
             inner: Rc::new(RefCell::new(DiskInner {
                 name: name.into(),
-                geometry: profile.geometry,
+                geometry: Rc::new(profile.geometry),
                 mech: profile.mech,
                 store: SectorStore::new(capacity),
                 head: HeadPosition::default(),
@@ -255,9 +269,17 @@ impl Disk {
         self.inner.borrow().name.clone()
     }
 
-    /// A copy of the device's geometry.
-    pub fn geometry(&self) -> DiskGeometry {
-        self.inner.borrow().geometry.clone()
+    /// The device's geometry. It never changes, so every call shares one
+    /// allocation instead of copying the zone table.
+    pub fn geometry(&self) -> Rc<DiskGeometry> {
+        Rc::clone(&self.inner.borrow().geometry)
+    }
+
+    /// A handle that does not keep the device alive; see [`WeakDisk`].
+    pub fn downgrade(&self) -> WeakDisk {
+        WeakDisk {
+            inner: Rc::downgrade(&self.inner),
+        }
     }
 
     /// A copy of the device's mechanical model.

@@ -6,14 +6,25 @@
 //! ECC on the hardware the paper targets).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::geometry::{Lba, SECTOR_SIZE};
 
 /// One sector's payload.
 pub type SectorBuf = [u8; SECTOR_SIZE];
 
+/// Sectors per slab: 8 KB, small enough that slabs come from the
+/// allocator's ordinary free lists (large blocks grow its arenas) and a
+/// sparsely written disk wastes little.
+const SLAB_SECTORS: usize = 16;
+
 /// A sparse map from LBA to sector contents. Unwritten sectors read as
 /// zeros, matching a freshly formatted drive.
+///
+/// Sector bytes live in fixed-size slabs of 16 sectors (8 KB), filled in
+/// first-write order; an `Lba → slot` index with a multiplicative hasher
+/// locates them. Writing a new sector allocates nothing except, once per
+/// slab, the slab itself.
 ///
 /// # Examples
 ///
@@ -27,16 +38,40 @@ pub type SectorBuf = [u8; SECTOR_SIZE];
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SectorStore {
-    sectors: HashMap<Lba, Box<SectorBuf>>,
+    index: HashMap<Lba, u32, BuildHasherDefault<LbaHasher>>,
+    slabs: Vec<Box<[SectorBuf]>>,
     capacity: u64,
+}
+
+/// Hashes an LBA with one multiply (Fibonacci hashing), folding the high
+/// product bits down so strided LBAs still spread over the table. LBAs
+/// can come from imported traces, but crafted collisions could only slow
+/// that trace's own replay, never change its results, so the default
+/// keyed hasher's flooding protection is not worth its cost here.
+#[derive(Default)]
+struct LbaHasher(u64);
+
+impl Hasher for LbaHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the sector index only hashes u64 LBAs")
+    }
+
+    fn write_u64(&mut self, lba: u64) {
+        let h = lba.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
 }
 
 impl SectorStore {
     /// Creates an all-zero store of `capacity` sectors.
     pub fn new(capacity: u64) -> Self {
         SectorStore {
-            sectors: HashMap::new(),
             capacity,
+            ..SectorStore::default()
         }
     }
 
@@ -47,7 +82,12 @@ impl SectorStore {
 
     /// The number of sectors that have ever been written.
     pub fn written_sectors(&self) -> usize {
-        self.sectors.len()
+        self.index.len()
+    }
+
+    fn sector(&self, lba: Lba) -> Option<&SectorBuf> {
+        let slot = *self.index.get(&lba)? as usize;
+        Some(&self.slabs[slot / SLAB_SECTORS][slot % SLAB_SECTORS])
     }
 
     /// Reads one sector (zeros if never written).
@@ -57,10 +97,7 @@ impl SectorStore {
     /// Panics if `lba` is beyond the capacity.
     pub fn read_sector(&self, lba: Lba) -> SectorBuf {
         assert!(lba < self.capacity, "read beyond capacity: lba {lba}");
-        match self.sectors.get(&lba) {
-            Some(b) => **b,
-            None => [0u8; SECTOR_SIZE],
-        }
+        self.sector(lba).copied().unwrap_or([0u8; SECTOR_SIZE])
     }
 
     /// Overwrites one sector.
@@ -70,12 +107,15 @@ impl SectorStore {
     /// Panics if `lba` is beyond the capacity.
     pub fn write_sector(&mut self, lba: Lba, data: &SectorBuf) {
         assert!(lba < self.capacity, "write beyond capacity: lba {lba}");
-        match self.sectors.get_mut(&lba) {
-            Some(b) => **b = *data,
-            None => {
-                self.sectors.insert(lba, Box::new(*data));
-            }
+        let next = self.index.len();
+        let slot = *self.index.entry(lba).or_insert_with(|| {
+            u32::try_from(next).expect("sector store holds at most u32::MAX sectors")
+        }) as usize;
+        if slot == next && slot.is_multiple_of(SLAB_SECTORS) {
+            self.slabs
+                .push(vec![[0u8; SECTOR_SIZE]; SLAB_SECTORS].into_boxed_slice());
         }
+        self.slabs[slot / SLAB_SECTORS][slot % SLAB_SECTORS] = *data;
     }
 
     /// Reads consecutive sectors directly into `out` (one whole number of
@@ -103,8 +143,8 @@ impl SectorStore {
             "read beyond capacity: lba {lba} count {count}"
         );
         for (i, chunk) in out.chunks_exact_mut(SECTOR_SIZE).enumerate() {
-            match self.sectors.get(&(lba + i as u64)) {
-                Some(b) => chunk.copy_from_slice(&**b),
+            match self.sector(lba + i as u64) {
+                Some(b) => chunk.copy_from_slice(b),
                 None => chunk.fill(0),
             }
         }
@@ -125,13 +165,18 @@ impl SectorStore {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is not a whole number of sectors or the range
-    /// exceeds the capacity.
+    /// Panics, before writing anything, if `data` is not a whole number of
+    /// sectors or the range exceeds the capacity.
     pub fn write_range(&mut self, lba: Lba, data: &[u8]) {
         assert!(
             data.len().is_multiple_of(SECTOR_SIZE),
             "data must be sector-aligned, got {} bytes",
             data.len()
+        );
+        let count = (data.len() / SECTOR_SIZE) as u64;
+        assert!(
+            lba + count <= self.capacity,
+            "write beyond capacity: lba {lba} count {count}"
         );
         for (i, chunk) in data.chunks_exact(SECTOR_SIZE).enumerate() {
             let buf: &SectorBuf = chunk.try_into().expect("chunk is exactly one sector");

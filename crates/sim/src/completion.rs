@@ -88,6 +88,9 @@ struct SinkShared {
     next_id: u64,
     orphans: Vec<EventFn>,
     cancelled: u64,
+    // Set when the owning simulator is dropped: no step will ever drain
+    // the orphan queue again, so cancellations are dropped on the spot.
+    closed: bool,
 }
 
 /// Mints [`Completion`] tokens and collects cancellations from dropped ones.
@@ -109,6 +112,7 @@ impl CompletionSink {
                 next_id: 0,
                 orphans: Vec::new(),
                 cancelled: 0,
+                closed: false,
             })),
         }
     }
@@ -156,8 +160,24 @@ impl CompletionSink {
         std::mem::take(&mut self.shared.borrow_mut().orphans)
     }
 
+    /// Closes the sink: drops every parked cancellation and makes later
+    /// drops discard their handlers instead of parking them. Called when
+    /// the owning simulator goes away, since nothing drains the orphan
+    /// queue after that.
+    pub(crate) fn close(&self) {
+        self.shared.borrow_mut().closed = true;
+        // Dropping an orphan can drop further armed completions; with the
+        // sink closed they discard their handlers instead of parking.
+        drop(self.take_orphans());
+    }
+
     fn park(&self, f: EventFn) {
-        self.shared.borrow_mut().orphans.push(f);
+        if self.shared.borrow().closed {
+            // The simulator is gone: nobody can hear the cancellation.
+            drop(f);
+        } else {
+            self.shared.borrow_mut().orphans.push(f);
+        }
     }
 }
 
@@ -403,5 +423,25 @@ mod tests {
         sim.run();
         assert_eq!(seen.get(), 12);
         assert_eq!(*comp.state.borrow(), vec![1, 2, 1, 2]);
+    }
+
+    #[test]
+    fn dropping_the_simulator_frees_abandoned_handlers() {
+        // A pending event owns an armed completion whose handler owns a
+        // component and another armed completion of the same sink. Dropped
+        // with the queue, the handler would park in the sink, and the
+        // completion it owns would keep that orphan queue — and the
+        // component — alive once nothing steps the simulator.
+        let mut sim = Simulator::new();
+        let component = Rc::new(());
+        let weak = Rc::downgrade(&component);
+        let inner = sim.completion(|_, _: Delivered<()>| {});
+        let outer = sim.completion(move |_, _: Delivered<()>| drop((component, inner)));
+        sim.schedule_in(SimDuration::from_millis(1), move |_| drop(outer));
+        drop(sim);
+        assert!(
+            weak.upgrade().is_none(),
+            "dropping the simulator must release everything its queues held"
+        );
     }
 }

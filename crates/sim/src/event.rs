@@ -255,6 +255,17 @@ impl Simulator {
     }
 }
 
+impl Drop for Simulator {
+    /// Closes the master sink: parked cancellations are dropped now, and
+    /// the armed completions the event queue drops next discard their
+    /// handlers. A parked handler can own armed completions of the same
+    /// sink, so an orphan queue left behind would keep itself — and every
+    /// stack component its handlers capture — alive.
+    fn drop(&mut self) {
+        self.sink.close();
+    }
+}
+
 impl Default for Simulator {
     fn default() -> Self {
         Self::new()

@@ -17,7 +17,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use trail_blockio::{
     BlockDevice, IoDone, IoKind, IoRequest, RequestId, StandardDriver, StreamId, TapHandle,
@@ -198,7 +198,23 @@ pub struct RaidVolume {
     inner: Rc<RefCell<VolInner>>,
 }
 
+/// A volume handle that does not keep the volume alive. Completions the
+/// volume hands to its member drivers wait in queues the volume owns, so
+/// they capture the volume weakly: a strong capture would be a reference
+/// cycle keeping a torn-down stack alive.
+struct WeakVolume(Weak<RefCell<VolInner>>);
+
+impl WeakVolume {
+    fn upgrade(&self) -> Option<RaidVolume> {
+        self.0.upgrade().map(|inner| RaidVolume { inner })
+    }
+}
+
 impl RaidVolume {
+    fn weak(&self) -> WeakVolume {
+        WeakVolume(Rc::downgrade(&self.inner))
+    }
+
     /// Assembles `members` into a volume with the given layout.
     ///
     /// # Panics
@@ -565,9 +581,10 @@ fn start(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
         return;
     }
     op.borrow_mut().keys = keys.clone();
-    let vol2 = vol.clone();
+    let vol2 = vol.weak();
     let op2 = Rc::clone(op);
     let granted = sim.completion(move |sim, d: Delivered<()>| {
+        let Some(vol2) = vol2.upgrade() else { return };
         if d.is_err() {
             finish_abort(&vol2, sim, &op2);
             return;
@@ -744,19 +761,21 @@ fn submit_batch(
         let driver = vol.inner.borrow().members[mi].driver.clone();
         let sectors = req.kind.sectors();
         let is_read = req.kind.is_read();
-        let vol2 = vol.clone();
+        let vol2 = vol.weak();
         let g = Rc::clone(&gather);
         let sub = sim.completion(move |sim, d: Delivered<IoDone>| {
             let mut gg = g.borrow_mut();
             if let Ok(done) = d {
-                let mut v = vol2.inner.borrow_mut();
-                let ms = &mut v.stats.members[mi];
-                if is_read {
-                    ms.read_latency.record(done.latency());
-                    ms.sectors_read += u64::from(sectors);
-                } else {
-                    ms.write_latency.record(done.latency());
-                    ms.sectors_written += u64::from(sectors);
+                if let Some(vol2) = vol2.upgrade() {
+                    let mut v = vol2.inner.borrow_mut();
+                    let ms = &mut v.stats.members[mi];
+                    if is_read {
+                        ms.read_latency.record(done.latency());
+                        ms.sectors_read += u64::from(sectors);
+                    } else {
+                        ms.write_latency.record(done.latency());
+                        ms.sectors_written += u64::from(sectors);
+                    }
                 }
                 gg.results[slot] = Some(done);
             }
@@ -851,9 +870,10 @@ fn plan_striped(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
             is_read,
             total_sectors,
         } => {
-            let vol2 = vol.clone();
+            let vol2 = vol.weak();
             let op2 = Rc::clone(op);
             let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
+                let Some(vol2) = vol2.upgrade() else { return };
                 let results = match d {
                     Ok(r) => r,
                     Err(_) => {
@@ -932,10 +952,11 @@ fn plan_mirror_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, policy: R
         finish_abort(vol, sim, op);
         return;
     };
-    let vol2 = vol.clone();
+    let vol2 = vol.weak();
     let op2 = Rc::clone(op);
     let slot_members = vec![member];
     let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
+        let Some(vol2) = vol2.upgrade() else { return };
         let results = match d {
             Ok(r) => r,
             Err(_) => {
@@ -982,9 +1003,10 @@ fn plan_mirror_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef) {
         return;
     }
     let slot_members: Vec<usize> = ios.iter().map(|(m, _)| *m).collect();
-    let vol2 = vol.clone();
+    let vol2 = vol.weak();
     let op2 = Rc::clone(op);
     let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
+        let Some(vol2) = vol2.upgrade() else { return };
         let results = match d {
             Ok(r) => r,
             Err(_) => {
@@ -1078,9 +1100,10 @@ fn plan_raid5_read(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u32
         return;
     };
     let slot_members: Vec<usize> = ios.iter().map(|(m, _)| *m).collect();
-    let vol2 = vol.clone();
+    let vol2 = vol.weak();
     let op2 = Rc::clone(op);
     let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
+        let Some(vol2) = vol2.upgrade() else { return };
         let results = match d {
             Ok(r) => r,
             Err(_) => {
@@ -1247,9 +1270,10 @@ fn plan_raid5_write(vol: &RaidVolume, sim: &mut Simulator, op: &OpRef, chunk: u3
         return;
     }
     let slot_members: Vec<usize> = reads.iter().map(|(m, _)| *m).collect();
-    let vol2 = vol.clone();
+    let vol2 = vol.weak();
     let op2 = Rc::clone(op);
     let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
+        let Some(vol2) = vol2.upgrade() else { return };
         let results = match d {
             Ok(r) => r,
             Err(_) => {
@@ -1384,9 +1408,10 @@ fn raid5_phase2(
         writes
     };
     let slot_members: Vec<usize> = writes.iter().map(|(m, _)| *m).collect();
-    let vol2 = vol.clone();
+    let vol2 = vol.weak();
     let op2 = Rc::clone(op);
     let token = sim.completion(move |sim, d: Delivered<Vec<Option<IoDone>>>| {
+        let Some(vol2) = vol2.upgrade() else { return };
         let results = match d {
             Ok(r) => r,
             Err(_) => {

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use trail::core::format::{build_record, restore_payload, PayloadSector, RecordHeader};
+use trail::core::format::{
+    build_record, payload_checksum, restore_payload, PayloadRun, RecordHeader,
+};
 use trail::core::{HeadPredictor, TrackPool};
 use trail::db::Page;
 use trail::disk::{DiskGeometry, SectorBuf, Zone, SECTOR_SIZE};
@@ -71,40 +73,42 @@ proptest! {
         seq in any::<u64>(),
         header_lba in 0u32..1_000_000,
     ) {
-        let payload: Vec<PayloadSector> = payload_bytes
-            .iter()
-            .enumerate()
-            .map(|(i, bytes)| PayloadSector {
-                data_major: (i % 3) as u8,
-                data_minor: 0,
-                data_lba: i as u32 * 8,
-                data: bytes[..].try_into().expect("sector-sized"),
-            })
-            .collect();
-        let (header, raw) =
-            build_record(epoch, seq, Some(7), 3, 1, header_lba, &payload).expect("builds");
+        let payload = payload_bytes.iter().enumerate().map(|(i, bytes)| PayloadRun {
+            data_major: (i % 3) as u8,
+            data_minor: 0,
+            data_lba: i as u32 * 8,
+            data: bytes,
+        });
+        let raw = build_record(epoch, seq, Some(7), 3, 1, header_lba, payload).expect("builds");
+        prop_assert_eq!(raw.len(), (payload_bytes.len() + 1) * SECTOR_SIZE);
         let hsec: SectorBuf = raw[..SECTOR_SIZE].try_into().expect("sector");
         let parsed = RecordHeader::decode(&hsec).expect("valid").expect("is header");
-        prop_assert_eq!(&parsed, &header);
-        prop_assert_eq!(parsed.entries.len(), payload.len());
+        prop_assert_eq!(parsed.encode().expect("encodes"), hsec);
+        prop_assert_eq!(
+            (parsed.epoch, parsed.sequence_id, parsed.prev_sect),
+            (epoch, seq, Some(7))
+        );
+        prop_assert_eq!((parsed.log_head_lba, parsed.log_head_seq), (3, 1));
+        prop_assert_eq!(parsed.entries.len(), payload_bytes.len());
         for (i, entry) in parsed.entries.iter().enumerate() {
+            prop_assert_eq!(entry.data_major, (i % 3) as u8);
+            prop_assert_eq!(entry.data_lba, i as u32 * 8);
+            prop_assert_eq!(entry.log_lba, header_lba + 1 + i as u32);
             let mut sector: SectorBuf = raw
                 [(i + 1) * SECTOR_SIZE..(i + 2) * SECTOR_SIZE]
                 .try_into()
                 .expect("sector");
+            prop_assert_eq!(sector[0], 0);
             restore_payload(entry, &mut sector);
             prop_assert_eq!(&sector[..], &payload_bytes[i][..]);
         }
         // The checksum covers the on-disk payload: flipping any byte in it
         // must be detected.
-        let flip = (epoch as usize % (payload.len() * SECTOR_SIZE)) + SECTOR_SIZE;
+        prop_assert_eq!(parsed.payload_checksum, payload_checksum(&raw[SECTOR_SIZE..]));
+        let flip = (epoch as usize % (payload_bytes.len() * SECTOR_SIZE)) + SECTOR_SIZE;
         let mut torn = raw.clone();
         torn[flip] ^= 0xFF;
-        let torn_payload = &torn[SECTOR_SIZE..];
-        prop_assert_ne!(
-            trail::core::format::fnv1a(torn_payload),
-            header.payload_checksum
-        );
+        prop_assert_ne!(payload_checksum(&torn[SECTOR_SIZE..]), parsed.payload_checksum);
     }
 
     /// The predictor's same-track output is always a sector on the
