@@ -24,11 +24,12 @@ if grep -rn --include='*.rs' 'Box<dyn FnOnce' crates src \
 fi
 
 echo "== target-factory gate =="
-# StackBuilder::build_target in the umbrella crate is the one way to
-# construct a replay/bench stack; no crate may grow a private factory or
-# boot MultiTrail by hand again.
+# StackBuilder (build / build_target) in the umbrella crate is the one
+# way to construct a replay/bench stack; no crate may grow a private
+# factory, boot MultiTrail or wrap a stack adapter by hand again, and the
+# retired raw-disk boot path and volume adapter stay gone.
 if grep -rn --include='*.rs' \
-    'fn build_target\|struct MultiStack\|fn prealloc\|MultiTrail::start' \
+    'fn build_target\|struct MultiStack\|fn prealloc\|MultiTrail::start\|VolumeStack\|start_with_data_drivers\|StandardStack::new\|TrailStack::new' \
     crates/trace crates/bench; then
   echo "found a private stack factory outside the umbrella crate" >&2
   exit 1
@@ -59,12 +60,11 @@ digests="$PWD/perf/run_all_quick.sha256"
 echo "== fault-plane gate =="
 # FaultPlan on the stack's FaultClock is the one way harnesses schedule
 # faults; the retired ad-hoc hooks must not creep back in. (The volume's
-# fail_member primitive stays — it is what the plane's sink drives — and
-# the ReplayOptions::fail_member shim lives in trail-trace only, folded
-# into the plan at replay time.)
+# fail_member primitive stays in trail-volume — it is what the plane's
+# sink drives — and no replay option shadows it.)
 if grep -rn --include='*.rs' \
     'schedule_member_failure\|fail_member\|FailMember' \
-    crates/bench crates/serve src examples; then
+    crates/bench crates/serve crates/trace src examples; then
   echo "found an ad-hoc fault hook outside the fault plane" >&2
   exit 1
 fi

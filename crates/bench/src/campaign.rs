@@ -19,8 +19,8 @@ use std::rc::Rc;
 
 use trail::volume::{raid5_map, RaidVolume, VolumeLayout};
 use trail::StackBuilder;
-use trail_blockio::{IoDone, SharedBlockDevice};
-use trail_core::{read_header, recover, recover_with_targets, RecoveryOptions, RecoveryReport};
+use trail_blockio::{IoDone, SharedBlockDevice, StandardDriver};
+use trail_core::{read_header, recover, RecoveryOptions, RecoveryReport};
 use trail_disk::{Disk, SECTOR_SIZE};
 use trail_sim::{
     Delivered, Fault, FaultKind, FaultPlan, FaultSink, FaultTarget, SimDuration, Simulator,
@@ -316,29 +316,25 @@ fn crash_point(spec: &CampaignSpec, cut: SimDuration, run: WorkloadRun) -> Crash
     }
     let mut sim = Simulator::new();
     let header = read_header(&mut sim, &run.log).expect("log header readable after crash");
-    let report = match spec.flavor {
-        CampaignFlavor::RawDisks => recover(
-            &mut sim,
-            &run.log,
-            &run.data,
-            &header,
-            RecoveryOptions::default(),
-        ),
-        CampaignFlavor::Raid5 => {
-            let targets: Vec<SharedBlockDevice> = run
-                .volumes
-                .iter()
-                .map(|v| Rc::new(v.clone()) as SharedBlockDevice)
-                .collect();
-            recover_with_targets(
-                &mut sim,
-                &run.log,
-                &targets,
-                &header,
-                RecoveryOptions::default(),
-            )
-        }
-    }
+    let targets: Vec<SharedBlockDevice> = match spec.flavor {
+        CampaignFlavor::RawDisks => run
+            .data
+            .iter()
+            .map(|d| Rc::new(StandardDriver::new(d.clone())) as SharedBlockDevice)
+            .collect(),
+        CampaignFlavor::Raid5 => run
+            .volumes
+            .iter()
+            .map(|v| Rc::new(v.clone()) as SharedBlockDevice)
+            .collect(),
+    };
+    let report = recover(
+        &mut sim,
+        &run.log,
+        &targets,
+        &header,
+        RecoveryOptions::default(),
+    )
     .expect("recovery succeeds");
 
     let violations = match spec.flavor {

@@ -14,8 +14,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use trail_blockio::{IoDone, IoRequest, StandardDriver};
-use trail_core::{format_log_disk, FormatOptions, TrailConfig, TrailDriver};
-use trail_db::{BlockStack, Database, DbConfig, FlushPolicy, TrailStack};
+use trail_core::{TrailConfig, TrailDriver};
+use trail_db::{BlockStack, Database, DbConfig, FlushPolicy};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_sim::{Completion, Delivered, LatencySummary, SimDuration, SimTime, Simulator};
 use trail_telemetry::RecorderHandle;
@@ -359,19 +359,16 @@ pub fn tpcc_setup_recorded(
         // commits into the bursts that drive §5.2's utilization numbers.
         single_cpu: true,
     };
-    let mut sim = Simulator::new();
-    let disks: Vec<Disk> = (0..3)
-        .map(|i| Disk::new(format!("data{i}"), profiles::wd_caviar_10gb()))
-        .collect();
-    let (stack, trail_drv): (Rc<dyn BlockStack>, Option<TrailDriver>) = if trail {
-        let log = Disk::new("trail-log", profiles::seagate_st41601n());
-        format_log_disk(&mut sim, &log, FormatOptions::default()).expect("format");
-        let (drv, _) = TrailDriver::start(&mut sim, log, disks.clone(), TrailConfig::default())
-            .expect("boot Trail");
-        (Rc::new(TrailStack::new(drv.clone(), 3)), Some(drv))
-    } else {
-        (Rc::new(trail_db::StandardStack::new(disks.clone())), None)
-    };
+    // The paper's testbed, Trail or standard, over three data disks.
+    let builder = trail::StackBuilder::new().data_disks(3);
+    let builder = if trail { builder } else { builder.standard() };
+    let trail::BuiltStack {
+        sim,
+        data_disks: disks,
+        trail: trail_drv,
+        stack,
+        ..
+    } = builder.build().expect("boot the TPC-C stack");
     let db = Database::new(Rc::clone(&stack), db_config);
     let images = populate(&db, &rig.scale);
     for (pid, bytes) in &images {

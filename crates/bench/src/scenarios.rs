@@ -18,11 +18,13 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use rand::Rng;
+use trail::{BuiltStack, StackBuilder};
+use trail_blockio::{SharedBlockDevice, StandardDriver};
 use trail_core::{
     format_log_disk, read_header, recover, FormatOptions, LogRouting, MultiTrail, RecoveryOptions,
-    TrailConfig, TrailDriver,
+    RecoveryReport, TrailConfig, TrailDriver,
 };
-use trail_db::{BlockStack, FlushPolicy, StandardStack, StorageService, TrailStack};
+use trail_db::{FlushPolicy, StorageService};
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_fs::{ExtFs, FileSystem, FsError, Lfs, LfsConfig};
 use trail_probe::{calibrate_delta, estimate_write_overhead, measure_rotation_period};
@@ -504,6 +506,22 @@ fn crash_with_pending(q: usize, seed: u64) -> (Disk, Vec<Disk>, usize) {
     (log, data, pending)
 }
 
+/// Powers the crashed devices back on and runs recovery on a fresh
+/// simulator, writing back through a plain driver per data disk.
+fn recover_crashed(log: &Disk, data: &[Disk], options: RecoveryOptions) -> RecoveryReport {
+    log.power_on();
+    for d in data {
+        d.power_on();
+    }
+    let mut sim = Simulator::new();
+    let header = read_header(&mut sim, log).expect("header");
+    let targets: Vec<SharedBlockDevice> = data
+        .iter()
+        .map(|d| Rc::new(StandardDriver::new(d.clone())) as SharedBlockDevice)
+        .collect();
+    recover(&mut sim, log, &targets, &header, options).expect("recovery")
+}
+
 fn fig4(cfg: &ScenarioConfig) -> ScenarioOutput {
     let qs: &[usize] = if cfg.quick {
         &[32, 64]
@@ -527,38 +545,8 @@ fn fig4(cfg: &ScenarioConfig) -> ScenarioOutput {
         let (log_a, data_a, pending) = crash_with_pending(q, cfg.mix(99));
         let (log_b, data_b, _) = crash_with_pending(q, cfg.mix(99));
 
-        let with_wb = {
-            log_a.power_on();
-            for d in &data_a {
-                d.power_on();
-            }
-            let mut sim = Simulator::new();
-            let header = read_header(&mut sim, &log_a).expect("header");
-            recover(
-                &mut sim,
-                &log_a,
-                &data_a,
-                &header,
-                RecoveryOptions::default(),
-            )
-            .expect("recovery")
-        };
-        let without_wb = {
-            log_b.power_on();
-            for d in &data_b {
-                d.power_on();
-            }
-            let mut sim = Simulator::new();
-            let header = read_header(&mut sim, &log_b).expect("header");
-            recover(
-                &mut sim,
-                &log_b,
-                &data_b,
-                &header,
-                RecoveryOptions { write_back: false },
-            )
-            .expect("recovery")
-        };
+        let with_wb = recover_crashed(&log_a, &data_a, RecoveryOptions::default());
+        let without_wb = recover_crashed(&log_b, &data_b, RecoveryOptions { write_back: false });
         let _ = writeln!(
             report,
             "| {q} | {pending} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2}x |",
@@ -1006,7 +994,7 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
             reposition_every_write: true,
             ..TrailConfig::default()
         };
-        let built = trail::StackBuilder::new()
+        let built = StackBuilder::new()
             .data_disks(1)
             .trail_multi(n_logs, config)
             .build()
@@ -1079,22 +1067,16 @@ fn ablation(cfg: &ScenarioConfig) -> ScenarioOutput {
 
 const FS_BLK: usize = 4096;
 
-fn fs_standard_stack() -> (Simulator, Rc<dyn BlockStack>, Disk) {
-    let sim = Simulator::new();
-    let disk = Disk::new("fsdev", profiles::wd_caviar_10gb());
-    let stack: Rc<dyn BlockStack> = Rc::new(StandardStack::new(vec![disk.clone()]));
-    (sim, stack, disk)
-}
-
-fn fs_trail_stack() -> (Simulator, Rc<dyn BlockStack>, TrailDriver, Disk) {
-    let mut sim = Simulator::new();
-    let log = Disk::new("trail-log", profiles::seagate_st41601n());
-    let disk = Disk::new("fsdev", profiles::wd_caviar_10gb());
-    format_log_disk(&mut sim, &log, FormatOptions::default()).expect("format");
-    let (drv, _) = TrailDriver::start(&mut sim, log, vec![disk.clone()], TrailConfig::default())
-        .expect("boot");
-    let stack: Rc<dyn BlockStack> = Rc::new(TrailStack::new(drv.clone(), 1));
-    (sim, stack, drv, disk)
+/// A one-disk stack for the file-system comparisons: Trail in front of
+/// the disk, or the standard stack.
+fn fs_stack(with_trail: bool) -> BuiltStack {
+    let builder = StackBuilder::new().data_disks(1);
+    let builder = if with_trail {
+        builder.trail_default()
+    } else {
+        builder.standard()
+    };
+    builder.build().expect("boot")
 }
 
 /// Issues `n` synchronous 4-KB writes into a **preallocated** log file (as
@@ -1158,17 +1140,17 @@ fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
     let _ = writeln!(report, "| file system | stack | mean sync write (ms) |");
     let _ = writeln!(report, "|---|---|---|");
 
-    let (mut sim, stack, _) = fs_standard_stack();
+    let BuiltStack { mut sim, stack, .. } = fs_stack(false);
     let extfs = ExtFs::format(&mut sim, Rc::clone(&stack), 0, 1_000_000).expect("format");
     let ext_std = sync_appends(&mut sim, &extfs, n);
     let _ = writeln!(report, "| ext2-like | standard | {ext_std:.3} |");
 
-    let (mut sim, stack, _drv, _) = fs_trail_stack();
+    let BuiltStack { mut sim, stack, .. } = fs_stack(true);
     let extfs = ExtFs::format(&mut sim, Rc::clone(&stack), 0, 1_000_000).expect("format");
     let ext_trail = sync_appends(&mut sim, &extfs, n);
     let _ = writeln!(report, "| ext2-like | **Trail** | {ext_trail:.3} |");
 
-    let (mut sim, stack, _) = fs_standard_stack();
+    let BuiltStack { mut sim, stack, .. } = fs_stack(false);
     let lfs = Lfs::new(Rc::clone(&stack), 0, LfsConfig::default());
     let lfs_std = sync_appends(&mut sim, &lfs, n);
     let _ = writeln!(report, "| LFS | standard | {lfs_std:.3} |");
@@ -1212,7 +1194,13 @@ fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         "== FS comparison 2 — {async_n} asynchronous 4-KB writes (LFS's home turf) =="
     );
-    let (mut sim, stack, disk) = fs_standard_stack();
+    let BuiltStack {
+        mut sim,
+        stack,
+        data_disks,
+        ..
+    } = fs_stack(false);
+    let disk = &data_disks[0];
     let lfs = Lfs::new(Rc::clone(&stack), 0, LfsConfig::default());
     let f = lfs.create("bulk").expect("create");
     disk.reset_stats();
@@ -1243,7 +1231,13 @@ fn fs_compare(cfg: &ScenarioConfig) -> ScenarioOutput {
         report,
         "== FS comparison 3 — reclaiming overwritten space =="
     );
-    let (mut sim, stack, disk) = fs_standard_stack();
+    let BuiltStack {
+        mut sim,
+        stack,
+        data_disks,
+        ..
+    } = fs_stack(false);
+    let disk = &data_disks[0];
     let lfs = Lfs::new(
         Rc::clone(&stack),
         0,
@@ -2396,7 +2390,7 @@ fn serve_testbed(
     admission: AdmissionPolicy,
     worker_slots: usize,
 ) -> (Simulator, Server) {
-    let builder = trail::StackBuilder::new().data_disks(2);
+    let builder = StackBuilder::new().data_disks(2);
     let builder = if logs <= 1 {
         builder.trail_default()
     } else {

@@ -230,6 +230,24 @@ struct RecordCtx {
     predicted_hit: bool,
 }
 
+/// The write-back targets Trail runs over raw data disks: one C-LOOK
+/// driver per disk that serves reads before queued write-backs, since a
+/// read stalls its caller while a write-back is already durable in the
+/// log. [`TrailDriver::start`] and [`MultiTrail::start`](crate::MultiTrail::start)
+/// both build their targets here.
+pub fn writeback_targets(data_disks: &[Disk]) -> Vec<SharedBlockDevice> {
+    data_disks
+        .iter()
+        .map(|d| {
+            Rc::new(StandardDriver::with_policy(
+                d.clone(),
+                Box::new(Clook::default()),
+                Priority::ReadsFirst,
+            )) as SharedBlockDevice
+        })
+        .collect()
+}
+
 /// The Trail track-based logging driver. Clones share the driver.
 ///
 /// # Examples
@@ -258,9 +276,10 @@ pub struct TrailDriver {
 }
 
 impl TrailDriver {
-    /// Boots the driver: reads the log-disk header, runs crash recovery if
-    /// the previous mount was not clean, bumps the epoch, and positions the
-    /// head on a free track.
+    /// Boots the driver over raw data disks, each behind the driver
+    /// [`writeback_targets`] builds: reads the log-disk header, runs crash
+    /// recovery if the previous mount was not clean, bumps the epoch, and
+    /// positions the head on a free track.
     ///
     /// Runs boot I/O in blocking style (drains the event queue); construct
     /// the driver before starting workload actors.
@@ -280,59 +299,7 @@ impl TrailDriver {
         data_disks: Vec<Disk>,
         config: TrailConfig,
     ) -> Result<(TrailDriver, BootReport), TrailError> {
-        let data = data_disks
-            .iter()
-            .map(|d| {
-                StandardDriver::with_policy(
-                    d.clone(),
-                    Box::new(Clook::default()),
-                    Priority::ReadsFirst,
-                )
-            })
-            .collect();
-        Self::start_with_data_drivers(sim, log_disk, data_disks, data, config)
-    }
-
-    /// Like [`start`](Self::start), but over pre-built data-disk drivers —
-    /// required when several Trail instances share the same data disks
-    /// (see [`MultiTrail`](crate::MultiTrail)): each physical disk must
-    /// have exactly one queueing driver.
-    ///
-    /// `data_disks[i]` must be the disk behind `data[i]`.
-    ///
-    /// # Errors
-    ///
-    /// As [`start`](Self::start).
-    pub fn start_with_data_drivers(
-        sim: &mut Simulator,
-        log_disk: Disk,
-        data_disks: Vec<Disk>,
-        data: Vec<StandardDriver>,
-        config: TrailConfig,
-    ) -> Result<(TrailDriver, BootReport), TrailError> {
-        config.validate();
-        if data_disks.is_empty()
-            || data_disks.len() > u8::MAX as usize
-            || data.len() != data_disks.len()
-        {
-            return Err(TrailError::BadDevice);
-        }
-        let header = read_header(sim, &log_disk)?;
-        let mut recovered = None;
-        if !header.clean {
-            recovered = Some(recover(
-                sim,
-                &log_disk,
-                &data_disks,
-                &header,
-                RecoveryOptions::default(),
-            )?);
-        }
-        let targets: Vec<SharedBlockDevice> = data
-            .into_iter()
-            .map(|d| Rc::new(d) as SharedBlockDevice)
-            .collect();
-        Self::boot_over_targets(sim, log_disk, header, recovered, targets, config)
+        Self::start_with_targets(sim, log_disk, writeback_targets(&data_disks), config)
     }
 
     /// Like [`start`](Self::start), but over arbitrary block targets —
@@ -342,8 +309,10 @@ impl TrailDriver {
     /// parity cycles in the background while the log front end keeps
     /// acknowledging at track speed.
     ///
-    /// Crash recovery replays through the targets' own submission paths
-    /// (see [`crate::recover_with_targets`]).
+    /// Crash recovery replays through the same targets (see
+    /// [`crate::recover`]). Several Trail instances may share one target
+    /// list (see [`MultiTrail`](crate::MultiTrail)): each physical disk
+    /// must have exactly one queueing driver.
     ///
     /// # Errors
     ///
@@ -361,7 +330,7 @@ impl TrailDriver {
         let header = read_header(sim, &log_disk)?;
         let mut recovered = None;
         if !header.clean {
-            recovered = Some(crate::recovery::recover_with_targets(
+            recovered = Some(recover(
                 sim,
                 &log_disk,
                 &targets,
@@ -369,19 +338,6 @@ impl TrailDriver {
                 RecoveryOptions::default(),
             )?);
         }
-        Self::boot_over_targets(sim, log_disk, header, recovered, targets, config)
-    }
-
-    /// Shared boot tail: bump the epoch, persist the dirty header, and
-    /// assemble the driver over `targets`.
-    fn boot_over_targets(
-        sim: &mut Simulator,
-        log_disk: Disk,
-        header: LogDiskHeader,
-        recovered: Option<RecoveryReport>,
-        targets: Vec<SharedBlockDevice>,
-        config: TrailConfig,
-    ) -> Result<(TrailDriver, BootReport), TrailError> {
         assert!(
             header.geometry.total_sectors() <= u64::from(u32::MAX),
             "log disk too large for the on-disk u32 LBA format"

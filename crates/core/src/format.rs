@@ -47,6 +47,11 @@ pub const NO_PREV_SECT: u32 = u32::MAX;
 const HEADER_FIXED_LEN: usize = 49;
 const ENTRY_LEN: usize = 11;
 
+/// Where a record header sector keeps the checksum of its own bytes: the
+/// last four bytes, past the largest entry array.
+const HEADER_CHECKSUM_AT: usize = SECTOR_SIZE - 4;
+const _: () = assert!(HEADER_FIXED_LEN + MAX_TRAIL_BATCH * ENTRY_LEN <= HEADER_CHECKSUM_AT);
+
 /// The payload checksum: a 64-bit FNV-style multiply-xor hash taken one
 /// little-endian 8-byte word at a time (a trailing partial word is
 /// zero-padded), folded to 32 bits as `h ^ (h >> 32)`.
@@ -56,6 +61,9 @@ const ENTRY_LEN: usize = 11;
 /// mid-record can persist a valid header with torn payload. The checksum
 /// lets recovery detect and drop such a torn youngest record (only the
 /// in-flight record can be torn — the log disk serializes record writes).
+/// The same checksum over the header sector's first 508 bytes, stored in
+/// its last four, lets recovery reject a damaged header instead of
+/// replaying the wrong blocks.
 ///
 /// Each step `h = (h ^ word) * P` is a bijection of the state for a fixed
 /// word, so payloads differing in exactly one word always reach different
@@ -284,6 +292,7 @@ impl RecordHeader {
         for (i, e) in self.entries.iter().enumerate() {
             e.put(&mut b, i);
         }
+        seal_header(&mut b);
         Ok(b)
     }
 
@@ -309,10 +318,14 @@ impl RecordHeader {
     ///
     /// # Errors
     ///
-    /// Returns [`FormatError::Corrupt`] for a signed but malformed header.
+    /// Returns [`FormatError::Corrupt`] for a signed but malformed header,
+    /// including one whose bytes fail the header checksum.
     pub fn decode(b: &SectorBuf) -> Result<Option<Self>, FormatError> {
         if b[0] != HEADER_FIRST_BYTE || b[1..9] != RECORD_SIGNATURE {
             return Ok(None);
+        }
+        if b[HEADER_CHECKSUM_AT..] != payload_checksum(&b[..HEADER_CHECKSUM_AT]).to_le_bytes() {
+            return Err(FormatError::Corrupt);
         }
         let epoch = u64::from_le_bytes(b[9..17].try_into().expect("slice len"));
         let sequence_id = u64::from_le_bytes(b[17..25].try_into().expect("slice len"));
@@ -426,7 +439,14 @@ where
         entries: Vec::new(),
     };
     header.put_fixed(head, sectors);
+    seal_header(head);
     Ok(bytes)
+}
+
+/// Stores the checksum of a complete header sector in its last bytes.
+fn seal_header(b: &mut [u8]) {
+    let sum = payload_checksum(&b[..HEADER_CHECKSUM_AT]);
+    b[HEADER_CHECKSUM_AT..SECTOR_SIZE].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Restores a payload sector read back from the log disk: puts the
@@ -595,9 +615,26 @@ mod tests {
         let bytes = build_record(1, 1, None, 0, 0, 100, run(&payload(1))).unwrap();
         let mut hsec: SectorBuf = bytes[0..SECTOR_SIZE].try_into().unwrap();
         hsec[41..45].copy_from_slice(&0u32.to_le_bytes()); // batch = 0
+        seal_header(&mut hsec);
         assert_eq!(RecordHeader::decode(&hsec), Err(FormatError::Corrupt));
         hsec[41..45].copy_from_slice(&1000u32.to_le_bytes()); // batch too big
+        seal_header(&mut hsec);
         assert_eq!(RecordHeader::decode(&hsec), Err(FormatError::Corrupt));
+    }
+
+    #[test]
+    fn record_decode_rejects_every_single_bit_flip_of_a_header() {
+        let bytes = build_record(3, 9, Some(40), 20, 5, 100, run(&payload(4))).unwrap();
+        let mut hsec: SectorBuf = bytes[0..SECTOR_SIZE].try_into().unwrap();
+        assert!(matches!(RecordHeader::decode(&hsec), Ok(Some(_))));
+        for bit in 0..SECTOR_SIZE * 8 {
+            hsec[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                !matches!(RecordHeader::decode(&hsec), Ok(Some(_))),
+                "bit {bit}"
+            );
+            hsec[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     #[test]

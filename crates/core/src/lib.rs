@@ -63,7 +63,7 @@ mod tracks;
 
 pub use buffer::{BlockKey, BufferTable, WritebackOutcome};
 pub use config::TrailConfig;
-pub use driver::{BootReport, TrailDriver, TrailStats};
+pub use driver::{writeback_targets, BootReport, TrailDriver, TrailStats};
 pub use error::TrailError;
 pub use multi::{LogRouting, MultiTrail};
 
@@ -72,5 +72,5 @@ pub use formatter::{
     FormatReport, CALIBRATION_TRACK,
 };
 pub use predict::{HeadPredictor, Reference};
-pub use recovery::{recover, recover_with_targets, RecoveryOptions, RecoveryReport};
+pub use recovery::{recover, RecoveryOptions, RecoveryReport};
 pub use tracks::TrackPool;

@@ -23,13 +23,13 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use trail_blockio::{Clook, IoDone, Priority, StandardDriver};
+use trail_blockio::{IoDone, SharedBlockDevice};
 use trail_disk::{Disk, Lba};
 use trail_sim::{Completion, Simulator};
 use trail_telemetry::StreamId;
 
 use crate::config::TrailConfig;
-use crate::driver::{BootReport, TrailDriver, TrailStats};
+use crate::driver::{writeback_targets, BootReport, TrailDriver, TrailStats};
 use crate::error::TrailError;
 
 /// A Trail array: one driver per log disk over shared data disks.
@@ -91,50 +91,19 @@ impl MultiTrail {
     ///
     /// # Errors
     ///
-    /// Returns [`TrailError::BadDevice`] for an empty log-disk list and
-    /// propagates each instance's boot errors (including per-log
-    /// recovery).
+    /// Returns [`TrailError::BadDevice`] for an empty log-disk list or an
+    /// empty data-disk list, and propagates each instance's boot errors
+    /// (including per-log recovery).
     pub fn start(
         sim: &mut Simulator,
         log_disks: Vec<Disk>,
         data_disks: Vec<Disk>,
         config: TrailConfig,
     ) -> Result<(MultiTrail, Vec<BootReport>), TrailError> {
-        if log_disks.is_empty() {
-            return Err(TrailError::BadDevice);
-        }
         // One queueing driver per physical data disk, shared by every
         // Trail instance.
-        let data: Vec<StandardDriver> = data_disks
-            .iter()
-            .map(|d| {
-                StandardDriver::with_policy(
-                    d.clone(),
-                    Box::new(Clook::default()),
-                    Priority::ReadsFirst,
-                )
-            })
-            .collect();
-        let mut drivers = Vec::with_capacity(log_disks.len());
-        let mut boots = Vec::with_capacity(log_disks.len());
-        for log in log_disks {
-            let (drv, boot) = TrailDriver::start_with_data_drivers(
-                sim,
-                log,
-                data_disks.clone(),
-                data.clone(),
-                config,
-            )?;
-            drivers.push(drv);
-            boots.push(boot);
-        }
-        Ok((
-            MultiTrail {
-                drivers,
-                routing: Rc::new(Cell::new(LogRouting::BlockHash)),
-            },
-            boots,
-        ))
+        let targets = vec![writeback_targets(&data_disks); log_disks.len()];
+        Self::start_with_targets(sim, log_disks, targets, config)
     }
 
     /// Boots one Trail instance per formatted log disk, each over its
@@ -159,7 +128,7 @@ impl MultiTrail {
     pub fn start_with_targets(
         sim: &mut Simulator,
         log_disks: Vec<Disk>,
-        targets: Vec<Vec<trail_blockio::SharedBlockDevice>>,
+        targets: Vec<Vec<SharedBlockDevice>>,
         config: TrailConfig,
     ) -> Result<(MultiTrail, Vec<BootReport>), TrailError> {
         if log_disks.is_empty() || targets.len() != log_disks.len() {

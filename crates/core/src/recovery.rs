@@ -157,13 +157,19 @@ fn scan_track(
 /// Runs the recovery procedure against a crashed Trail log disk.
 ///
 /// `header` is the decoded log-disk header (whose `epoch` identifies the
-/// records to recover) and `data_disks` the same device list, in the same
-/// order, that the crashed driver served.
+/// records to recover) and `targets` the same block targets, in the same
+/// order, that the crashed driver wrote back to. Stage 3 replays each
+/// recovered run through the target's own submission path, so a RAID-5
+/// target maintains its parity during recovery exactly as it would in
+/// normal operation. A caller holding raw data disks wraps each one in a
+/// [`trail_blockio::StandardDriver`].
 ///
 /// # Errors
 ///
 /// Propagates device errors; returns [`TrailError::BadDevice`] if a
-/// recovered record names a data disk that does not exist.
+/// recovered record names a target that does not exist. A target that
+/// cancels a write-back (a member failure the array cannot absorb)
+/// surfaces as [`TrailError::Disk`].
 ///
 /// # Examples
 ///
@@ -172,86 +178,9 @@ fn scan_track(
 pub fn recover(
     sim: &mut Simulator,
     log_disk: &Disk,
-    data_disks: &[Disk],
-    header: &LogDiskHeader,
-    options: RecoveryOptions,
-) -> Result<RecoveryReport, TrailError> {
-    recover_inner(
-        sim,
-        log_disk,
-        header,
-        options,
-        &mut |sim, dev, lba, data| {
-            let disk = data_disks.get(dev).ok_or(TrailError::BadDevice)?;
-            run_blocking(sim, disk, DiskCommand::Write { lba, data })?;
-            Ok(())
-        },
-    )
-}
-
-/// [`recover`] over arbitrary block targets (e.g. `trail-volume` arrays)
-/// instead of raw disks: stage 3 replays each recovered run through the
-/// target's own submission path, so a RAID-5 target performs its parity
-/// maintenance during recovery exactly as it would in normal operation.
-///
-/// # Errors
-///
-/// As [`recover`]; a target that cancels a write-back (a member failure
-/// the array cannot absorb) surfaces as [`TrailError::Disk`].
-pub fn recover_with_targets(
-    sim: &mut Simulator,
-    log_disk: &Disk,
     targets: &[SharedBlockDevice],
     header: &LogDiskHeader,
     options: RecoveryOptions,
-) -> Result<RecoveryReport, TrailError> {
-    recover_inner(
-        sim,
-        log_disk,
-        header,
-        options,
-        &mut |sim, dev, lba, data| {
-            let target = targets.get(dev).ok_or(TrailError::BadDevice)?;
-            blocking_target_write(sim, target, lba, data)
-        },
-    )
-}
-
-/// Runs one write against a block target to completion (the boot-time
-/// blocking idiom; see [`trail_probe::run_blocking`]).
-fn blocking_target_write(
-    sim: &mut Simulator,
-    target: &SharedBlockDevice,
-    lba: Lba,
-    data: Vec<u8>,
-) -> Result<(), TrailError> {
-    let slot: Rc<RefCell<Option<Delivered<IoDone>>>> = Rc::new(RefCell::new(None));
-    let out = Rc::clone(&slot);
-    let done = sim.completion(move |_, res: Delivered<IoDone>| {
-        *out.borrow_mut() = Some(res);
-    });
-    target
-        .submit(sim, IoRequest::write(lba, data), done)
-        .map_err(TrailError::Disk)?;
-    while slot.borrow().is_none() {
-        assert!(sim.step(), "recovery write-back never completed");
-    }
-    let res = slot.borrow_mut().take().expect("slot just filled");
-    res.map_err(|_| TrailError::Disk(DiskError::Failed))?;
-    Ok(())
-}
-
-/// Write-back sink shared by the disk-backed and target-backed recovery
-/// paths: (sim, device index, lba, payload) → durable or error.
-type WriteSink<'a> =
-    &'a mut dyn FnMut(&mut Simulator, usize, Lba, Vec<u8>) -> Result<(), TrailError>;
-
-fn recover_inner(
-    sim: &mut Simulator,
-    log_disk: &Disk,
-    header: &LogDiskHeader,
-    options: RecoveryOptions,
-    write_sink: WriteSink<'_>,
 ) -> Result<RecoveryReport, TrailError> {
     let g = &header.geometry;
     let (first_track, last_track) = data_track_range(g);
@@ -403,7 +332,8 @@ fn recover_inner(
                 }
                 let data = payload[i * SECTOR_SIZE..(j + 1) * SECTOR_SIZE].to_vec();
                 report.sectors_replayed += (j - i + 1) as u64;
-                write_sink(sim, dev, u64::from(start_lba), data)?;
+                let target = targets.get(dev).ok_or(TrailError::BadDevice)?;
+                blocking_target_write(sim, target, u64::from(start_lba), data)?;
                 i = j + 1;
             }
         }
@@ -411,4 +341,28 @@ fn recover_inner(
     }
     report.writeback_time = sim.now().duration_since(t2);
     Ok(report)
+}
+
+/// Runs one write against a block target to completion (the boot-time
+/// blocking idiom; see [`trail_probe::run_blocking`]).
+fn blocking_target_write(
+    sim: &mut Simulator,
+    target: &SharedBlockDevice,
+    lba: Lba,
+    data: Vec<u8>,
+) -> Result<(), TrailError> {
+    let slot: Rc<RefCell<Option<Delivered<IoDone>>>> = Rc::new(RefCell::new(None));
+    let out = Rc::clone(&slot);
+    let done = sim.completion(move |_, res: Delivered<IoDone>| {
+        *out.borrow_mut() = Some(res);
+    });
+    target
+        .submit(sim, IoRequest::write(lba, data), done)
+        .map_err(TrailError::Disk)?;
+    while slot.borrow().is_none() {
+        assert!(sim.step(), "recovery write-back never completed");
+    }
+    let res = slot.borrow_mut().take().expect("slot just filled");
+    res.map_err(|_| TrailError::Disk(DiskError::Failed))?;
+    Ok(())
 }

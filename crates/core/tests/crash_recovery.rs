@@ -6,11 +6,19 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use rand::Rng;
+use trail_blockio::{SharedBlockDevice, StandardDriver};
 use trail_core::{
     format_log_disk, read_header, recover, FormatOptions, RecoveryOptions, TrailConfig, TrailDriver,
 };
 use trail_disk::{profiles, Disk, SECTOR_SIZE};
 use trail_sim::{SimDuration, Simulator};
+
+/// Recovery's write-back targets over raw data disks.
+fn drivers(data: &[Disk]) -> Vec<SharedBlockDevice> {
+    data.iter()
+        .map(|d| Rc::new(StandardDriver::new(d.clone())) as SharedBlockDevice)
+        .collect()
+}
 
 /// A workload record: which values were written to each block, in order,
 /// and how many of them were acknowledged before the crash.
@@ -122,7 +130,14 @@ fn recover_and_verify(ledger: &Ledger, log: Disk, data: Vec<Disk>) {
     }
     let header = read_header(&mut sim, &log).unwrap();
     assert!(!header.clean, "crash must leave the dirty flag set");
-    let report = recover(&mut sim, &log, &data, &header, RecoveryOptions::default()).unwrap();
+    let report = recover(
+        &mut sim,
+        &log,
+        &drivers(&data),
+        &header,
+        RecoveryOptions::default(),
+    )
+    .unwrap();
     assert!(report.write_back_performed);
     verify_ledger(ledger, &data);
 }
@@ -160,7 +175,14 @@ fn recovery_with_no_records_is_empty() {
     log.power_on();
     let mut sim2 = Simulator::new();
     let header = read_header(&mut sim2, &log).unwrap();
-    let report = recover(&mut sim2, &log, &data, &header, RecoveryOptions::default()).unwrap();
+    let report = recover(
+        &mut sim2,
+        &log,
+        &drivers(&data),
+        &header,
+        RecoveryOptions::default(),
+    )
+    .unwrap();
     assert_eq!(report.records_found, 0);
     assert_eq!(report.sectors_replayed, 0);
     assert_eq!(report.tracks_scanned, 1, "empty origin ends the search");
@@ -202,12 +224,19 @@ fn skipping_write_back_is_faster_but_finds_the_same_records() {
     // Run both variants against clones of the crashed state.
     let mut sim_a = Simulator::new();
     let header = read_header(&mut sim_a, &log).unwrap();
-    let with_wb = recover(&mut sim_a, &log, &data, &header, RecoveryOptions::default()).unwrap();
+    let with_wb = recover(
+        &mut sim_a,
+        &log,
+        &drivers(&data),
+        &header,
+        RecoveryOptions::default(),
+    )
+    .unwrap();
     let mut sim_b = Simulator::new();
     let without_wb = recover(
         &mut sim_b,
         &log,
-        &data,
+        &drivers(&data),
         &header,
         RecoveryOptions { write_back: false },
     )
@@ -251,7 +280,7 @@ fn binary_search_scans_logarithmically_many_tracks() {
     let report = recover(
         &mut sim2,
         &log,
-        &data,
+        &drivers(&data),
         &header,
         RecoveryOptions { write_back: false },
     )
@@ -298,7 +327,7 @@ fn log_head_bounds_the_backward_scan() {
     let report = recover(
         &mut sim2,
         &log,
-        &data,
+        &drivers(&data),
         &header,
         RecoveryOptions { write_back: false },
     )
@@ -345,7 +374,14 @@ fn torn_record_is_detected_and_dropped() {
         }
         let mut sim2 = Simulator::new();
         let header = read_header(&mut sim2, &log).unwrap();
-        let report = recover(&mut sim2, &log, &data, &header, RecoveryOptions::default()).unwrap();
+        let report = recover(
+            &mut sim2,
+            &log,
+            &drivers(&data),
+            &header,
+            RecoveryOptions::default(),
+        )
+        .unwrap();
         if report.torn_records_dropped > 0 {
             found_torn = true;
             // The committed record must still have been recovered.

@@ -1,21 +1,26 @@
-//! Hostile log media, torn-record slice: damage one payload sector of the
-//! youngest record on the log disk (a bit flip, or stale bytes from an
-//! earlier use of the sector) and recovery must detect it through the
-//! payload checksum, drop exactly that record, and replay exactly the
-//! writes logged before it.
+//! Hostile log media: damage the youngest record on the log disk and
+//! recovery must replay exactly the writes logged before it — no panic,
+//! no error, nothing more. Three kinds of damage:
+//!
+//! - one payload sector (a bit flip, or stale bytes from an earlier use
+//!   of the sector), caught by the payload checksum;
+//! - one bit of the header sector, caught by the header checksum;
+//! - a valid record of the previous epoch written where the youngest
+//!   record was, ignored for its epoch.
 //!
 //! The damaged record stands for the one in flight at a power cut: its
-//! header reached the medium but one of its payload sectors did not. Its
-//! write was never acknowledged, so the acknowledged prefix is every
-//! write before it.
+//! sectors did not all reach the medium as written. Its write was never
+//! acknowledged, so the acknowledged prefix is every write before it.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use trail_core::format::RecordHeader;
+use trail_blockio::{SharedBlockDevice, StandardDriver};
+use trail_core::format::{build_record, LogDiskHeader, PayloadRun, RecordHeader};
 use trail_core::{
-    format_log_disk, read_header, recover, FormatOptions, RecoveryOptions, TrailConfig, TrailDriver,
+    format_log_disk, read_header, recover, FormatOptions, RecoveryOptions, RecoveryReport,
+    TrailConfig, TrailDriver,
 };
 use trail_disk::{profiles, Disk, SectorBuf, SECTOR_SIZE};
 use trail_sim::{Delivered, Simulator};
@@ -83,14 +88,46 @@ fn log_writes_then_cut(sizes: &[usize]) -> (Disk, Disk) {
     (log, data)
 }
 
-/// The current-epoch record with the highest sequence id, found by
-/// scanning every sector of the log disk.
-fn youngest_record(log: &Disk, epoch: u64) -> RecordHeader {
+/// The current-epoch record with the highest sequence id and the LBA of
+/// its header, found by scanning every sector of the log disk.
+fn youngest_record(log: &Disk, epoch: u64) -> (u64, RecordHeader) {
     (0..log.geometry().total_sectors())
-        .filter_map(|lba| RecordHeader::decode(&log.peek_sector(lba)).ok().flatten())
-        .filter(|h| h.epoch == epoch)
-        .max_by_key(|h| h.sequence_id)
+        .filter_map(|lba| {
+            let h = RecordHeader::decode(&log.peek_sector(lba)).ok().flatten()?;
+            Some((lba, h))
+        })
+        .filter(|(_, h)| h.epoch == epoch)
+        .max_by_key(|(_, h)| h.sequence_id)
         .expect("the log holds records")
+}
+
+/// Recovers `data` from the damaged `log` through a plain driver.
+fn recover_onto(
+    sim: &mut Simulator,
+    log: &Disk,
+    data: &Disk,
+    header: &LogDiskHeader,
+) -> RecoveryReport {
+    let targets = [Rc::new(StandardDriver::new(data.clone())) as SharedBlockDevice];
+    recover(sim, log, &targets, header, RecoveryOptions::default())
+        .expect("recovery over a damaged log returns the acknowledged prefix")
+}
+
+/// Checks the data disk holds exactly the writes before the last one:
+/// each of them reads back, and no other sector of the disk was written.
+fn holds_exactly_the_prefix(data: &Disk, sizes: &[usize]) -> Result<(), TestCaseError> {
+    let last = sizes.len() - 1;
+    for (i, &n) in sizes[..last].iter().enumerate() {
+        for s in 0..n {
+            let got = data.peek_sector(write_lba(i) + s as u64);
+            prop_assert!(got == write_sector(i, s), "write {} sector {}", i, s);
+        }
+    }
+    let written = (0..data.geometry().total_sectors())
+        .filter(|&lba| data.peek_sector(lba) != [0u8; SECTOR_SIZE])
+        .count();
+    prop_assert_eq!(written, sizes[..last].iter().sum::<usize>());
+    Ok(())
 }
 
 proptest! {
@@ -105,7 +142,7 @@ proptest! {
         let (log, data) = log_writes_then_cut(&sizes);
         let mut sim = Simulator::new();
         let header = read_header(&mut sim, &log).unwrap();
-        let youngest = youngest_record(&log, header.epoch);
+        let (_, youngest) = youngest_record(&log, header.epoch);
         prop_assert_eq!(youngest.entries.len(), *sizes.last().unwrap());
         let entry = youngest.entries[victim as usize % youngest.entries.len()];
         let lba = u64::from(entry.log_lba);
@@ -121,20 +158,63 @@ proptest! {
         }
         log.poke_sector(lba, &sector);
 
-        let data_disks = std::slice::from_ref(&data);
-        let report = recover(&mut sim, &log, data_disks, &header, RecoveryOptions::default())
-            .unwrap();
+        let report = recover_onto(&mut sim, &log, &data, &header);
         prop_assert_eq!(report.torn_records_dropped, 1);
-        // Exactly the prefix: every earlier write reads back, and the
-        // damaged record's write left its blocks as they were (never
-        // written).
-        let last = sizes.len() - 1;
-        for (i, &n) in sizes.iter().enumerate() {
-            for s in 0..n {
-                let want = if i < last { write_sector(i, s) } else { [0u8; SECTOR_SIZE] };
-                let got = data.peek_sector(write_lba(i) + s as u64);
-                prop_assert!(got == want, "write {} sector {}", i, s);
-            }
+        holds_exactly_the_prefix(&data, &sizes)?;
+    }
+
+    #[test]
+    fn bit_flipped_youngest_header_is_ignored(
+        sizes in proptest::collection::vec(1usize..=4, 1..=5),
+        bit in 0..SECTOR_SIZE * 8,
+    ) {
+        let (log, data) = log_writes_then_cut(&sizes);
+        let mut sim = Simulator::new();
+        let header = read_header(&mut sim, &log).unwrap();
+        let (lba, _) = youngest_record(&log, header.epoch);
+        let mut sector = log.peek_sector(lba);
+        sector[bit / 8] ^= 1 << (bit % 8);
+        log.poke_sector(lba, &sector);
+
+        let report = recover_onto(&mut sim, &log, &data, &header);
+        prop_assert!(report.records_found < sizes.len());
+        holds_exactly_the_prefix(&data, &sizes)?;
+    }
+
+    #[test]
+    fn prior_epoch_record_in_the_youngest_slot_is_ignored(
+        sizes in proptest::collection::vec(1usize..=4, 1..=5),
+        fill in 1u8..=255,
+    ) {
+        let (log, data) = log_writes_then_cut(&sizes);
+        let mut sim = Simulator::new();
+        let header = read_header(&mut sim, &log).unwrap();
+        let (lba, youngest) = youngest_record(&log, header.epoch);
+        // A complete, self-consistent record of the previous mount, in
+        // exactly the youngest record's sectors, that would overwrite the
+        // youngest write's blocks if it were replayed.
+        let bytes = vec![fill; youngest.entries.len() * SECTOR_SIZE];
+        let record = build_record(
+            header.epoch - 1,
+            youngest.sequence_id + 1,
+            youngest.prev_sect,
+            youngest.log_head_lba,
+            youngest.log_head_seq,
+            lba as u32,
+            [PayloadRun {
+                data_major: 0,
+                data_minor: 0,
+                data_lba: write_lba(sizes.len() - 1) as u32,
+                data: &bytes,
+            }],
+        )
+        .unwrap();
+        for (i, chunk) in record.chunks_exact(SECTOR_SIZE).enumerate() {
+            log.poke_sector(lba + i as u64, chunk.try_into().unwrap());
         }
+
+        let report = recover_onto(&mut sim, &log, &data, &header);
+        prop_assert_eq!(report.torn_records_dropped, 0);
+        holds_exactly_the_prefix(&data, &sizes)?;
     }
 }

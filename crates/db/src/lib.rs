@@ -41,5 +41,5 @@ pub use recovery::{
     read_blocking, recover_committed, replay_committed, scan_wal, RecoveredImage, WalRecoveryReport,
 };
 pub use service::StorageService;
-pub use stack::{BlockStack, MultiTrailStack, SharedStack, StandardStack, TrailStack, VolumeStack};
+pub use stack::{BlockStack, MultiTrailStack, SharedStack, StandardStack, TrailStack};
 pub use wal::{FlushJob, FlushPolicy, PendingCommit, Wal, WalRecord, WalStats, CHUNK_MAGIC};

@@ -4,7 +4,9 @@
 
 use std::rc::Rc;
 
-use trail_blockio::{Clook, IoDone, IoRequest, Priority, Scheduler, StandardDriver, TapHandle};
+use trail_blockio::{
+    Clook, IoDone, IoRequest, Priority, Scheduler, SharedBlockDevice, StandardDriver, TapHandle,
+};
 use trail_core::{MultiTrail, TrailDriver, TrailError};
 use trail_disk::{Disk, Lba};
 use trail_sim::{Completion, Simulator};
@@ -115,11 +117,6 @@ impl TrailStack {
     pub fn new(driver: TrailDriver, devices: usize) -> Self {
         TrailStack { driver, devices }
     }
-
-    /// The wrapped driver (for statistics).
-    pub fn driver(&self) -> &TrailDriver {
-        &self.driver
-    }
 }
 
 impl BlockStack for TrailStack {
@@ -186,11 +183,14 @@ impl BlockStack for TrailStack {
     }
 }
 
-/// The baseline stack: each device is a plain queueing driver; writes pay
-/// full seek + rotational latency at their target address.
+/// The baseline stack: each device is a plain queueing driver, or any
+/// other block target such as a `trail-volume` RAID array. Every write
+/// pays its target's full cost synchronously — full seek + rotational
+/// latency at its address, and for RAID-5 the read-modify-write parity
+/// cycle — which is the standard-stack side of every Trail comparison.
 #[derive(Clone)]
 pub struct StandardStack {
-    drivers: Vec<StandardDriver>,
+    targets: Vec<SharedBlockDevice>,
 }
 
 impl StandardStack {
@@ -207,127 +207,24 @@ impl StandardStack {
         mut make_scheduler: impl FnMut() -> Box<dyn Scheduler>,
         priority: Priority,
     ) -> Self {
-        StandardStack {
-            drivers: disks
+        Self::with_targets(
+            disks
                 .into_iter()
-                .map(|d| StandardDriver::with_policy(d, make_scheduler(), priority))
+                .map(|d| {
+                    Rc::new(StandardDriver::with_policy(d, make_scheduler(), priority))
+                        as SharedBlockDevice
+                })
                 .collect(),
-        }
+        )
     }
 
-    /// The driver for device `dev` (for statistics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dev` is out of range.
-    pub fn driver(&self, dev: usize) -> &StandardDriver {
-        &self.drivers[dev]
+    /// Builds a stack where device `dev` is `targets[dev]`.
+    pub fn with_targets(targets: Vec<SharedBlockDevice>) -> Self {
+        StandardStack { targets }
     }
 }
 
 impl BlockStack for StandardStack {
-    fn write(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: Vec<u8>,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.write_tagged(sim, dev, lba, data, StreamId::UNTAGGED, done)
-    }
-
-    fn read(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        self.read_tagged(sim, dev, lba, count, StreamId::UNTAGGED, done)
-    }
-
-    fn write_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        data: Vec<u8>,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        let drv = self.drivers.get(dev).ok_or(TrailError::BadDevice)?;
-        drv.submit(sim, IoRequest::write(lba, data).tagged(stream), done)
-            .map(|_| ())
-            .map_err(TrailError::Disk)
-    }
-
-    fn read_tagged(
-        &self,
-        sim: &mut Simulator,
-        dev: usize,
-        lba: Lba,
-        count: u32,
-        stream: StreamId,
-        done: Completion<IoDone>,
-    ) -> Result<(), TrailError> {
-        let drv = self.drivers.get(dev).ok_or(TrailError::BadDevice)?;
-        drv.submit(sim, IoRequest::read(lba, count).tagged(stream), done)
-            .map(|_| ())
-            .map_err(TrailError::Disk)
-    }
-
-    fn pending_work(&self) -> usize {
-        self.drivers
-            .iter()
-            .map(|d| d.queue_depth() + usize::from(d.is_busy()))
-            .sum()
-    }
-
-    fn devices(&self) -> usize {
-        self.drivers.len()
-    }
-
-    fn set_recorder(&self, recorder: RecorderHandle) {
-        for d in &self.drivers {
-            d.set_recorder(Rc::clone(&recorder));
-        }
-    }
-
-    fn set_tap(&self, tap: TapHandle) {
-        for (dev, d) in self.drivers.iter().enumerate() {
-            d.set_tap(Rc::clone(&tap), dev as u32);
-        }
-    }
-}
-
-/// A baseline stack over arbitrary block targets — typically
-/// `trail-volume` RAID arrays. Every write pays the target's full cost
-/// synchronously (for RAID-5, the read-modify-write parity cycle), which
-/// is the standard-stack side of the Trail-vs-RAID comparison.
-#[derive(Clone)]
-pub struct VolumeStack {
-    targets: Vec<trail_blockio::SharedBlockDevice>,
-}
-
-impl VolumeStack {
-    /// Builds a stack where device `dev` is `targets[dev]`.
-    pub fn new(targets: Vec<trail_blockio::SharedBlockDevice>) -> Self {
-        VolumeStack { targets }
-    }
-
-    /// The target behind device `dev` (for statistics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dev` is out of range.
-    pub fn target(&self, dev: usize) -> &trail_blockio::SharedBlockDevice {
-        &self.targets[dev]
-    }
-}
-
-impl BlockStack for VolumeStack {
     fn write(
         &self,
         sim: &mut Simulator,
@@ -415,11 +312,6 @@ impl MultiTrailStack {
     /// Wraps a running Trail array serving `devices` data disks.
     pub fn new(multi: MultiTrail, devices: usize) -> Self {
         MultiTrailStack { multi, devices }
-    }
-
-    /// The wrapped array (for statistics and routing control).
-    pub fn multi(&self) -> &MultiTrail {
-        &self.multi
     }
 }
 

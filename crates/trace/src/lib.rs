@@ -56,8 +56,6 @@ pub use gen::{generate, generate_stream, ArrivalModel, SpatialModel, SyntheticSp
 pub use import::{
     import_blkparse, import_blkparse_into, scan_blkparse, BlkparseScan, ImportError, ImportOptions,
 };
-pub use replay::{
-    replay, replay_stream, FailMember, ReplayError, ReplayOptions, ReplayReport, TargetKind,
-};
+pub use replay::{replay, replay_stream, ReplayError, ReplayOptions, ReplayReport, TargetKind};
 pub use shard::{replay_stream_sharded, ShardPlan};
 pub use trail_telemetry::StreamId;

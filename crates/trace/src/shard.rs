@@ -154,7 +154,6 @@ struct PlainOpts {
     fs_file_blocks: u32,
     faults: trail_sim::FaultPlan,
     max_in_flight: Option<u32>,
-    fail_member: Option<crate::replay::FailMember>,
 }
 
 impl PlainOpts {
@@ -167,7 +166,6 @@ impl PlainOpts {
             fs_file_blocks: opts.fs_file_blocks,
             faults: opts.faults.clone(),
             max_in_flight: opts.max_in_flight,
-            fail_member: opts.fail_member,
         }
     }
 
@@ -182,7 +180,6 @@ impl PlainOpts {
             tap: None,
             faults: self.faults.clone(),
             max_in_flight: self.max_in_flight,
-            fail_member: self.fail_member,
         }
     }
 }

@@ -28,11 +28,10 @@ use std::rc::Rc;
 
 use trail_blockio::{Clook, Fifo, Priority, Scheduler, SharedBlockDevice, StandardDriver};
 use trail_core::{
-    format_log_disk, FormatOptions, MultiTrail, TrailConfig, TrailDriver, TrailError,
+    format_log_disk, writeback_targets, FormatOptions, MultiTrail, TrailConfig, TrailDriver,
+    TrailError,
 };
-use trail_db::{
-    BlockStack, Database, DbConfig, MultiTrailStack, StandardStack, TrailStack, VolumeStack,
-};
+use trail_db::{BlockStack, Database, DbConfig, MultiTrailStack, StandardStack, TrailStack};
 use trail_disk::profiles::{self, DriveProfile};
 use trail_disk::{Disk, DiskRole};
 use trail_fs::{ExtFs, FsError, Lfs, LfsConfig};
@@ -148,59 +147,118 @@ impl Default for Scenario {
 impl Scenario {
     /// Builds the stack this scenario describes.
     ///
+    /// Construction runs in two steps. First come the data targets each
+    /// Trail instance writes back to: one driver per raw data disk, or one
+    /// [`RaidVolume`] per device (per instance, with
+    /// [`VolumeSpec::per_instance`] under [`LogDevice::TrailMulti`]).
+    /// Then the log device is put in front of them. Raw disks under Trail
+    /// get the reads-first drivers of [`writeback_targets`]; RAID members
+    /// and the standard stack's disks get the scenario's
+    /// [`scheduler`](Scenario::scheduler) and
+    /// [`priority`](Scenario::priority).
+    ///
     /// # Errors
     ///
     /// Propagates log-disk format or Trail boot failures.
     pub fn build(&self) -> Result<BuiltStack, TrailError> {
-        if let Some(spec) = self.volume {
-            return self.build_with_volumes(spec);
-        }
         let mut sim = Simulator::new();
-        let data_disks: Vec<Disk> = (0..self.data_disks)
-            .map(|i| Disk::new(format!("data{i}"), self.data_profile.clone()))
-            .collect();
-        let (stack, trail, multi, log_disks): (Rc<dyn BlockStack>, _, _, Vec<Disk>) = match &self
-            .log_device
-        {
-            LogDevice::Trail { config } => {
-                let log = Disk::new("trail-log", self.log_profile.clone());
-                format_log_disk(&mut sim, &log, FormatOptions::default())?;
-                let (drv, _) =
-                    TrailDriver::start(&mut sim, log.clone(), data_disks.clone(), *config)?;
-                (
-                    Rc::new(TrailStack::new(drv.clone(), self.data_disks)),
-                    Some(drv),
-                    None,
-                    vec![log],
-                )
-            }
-            LogDevice::TrailMulti { logs, config } => {
-                let logs_disks: Vec<Disk> = (0..(*logs).max(1))
-                    .map(|i| Disk::new(format!("log{i}"), self.log_profile.clone()))
-                    .collect();
-                for log in &logs_disks {
-                    format_log_disk(&mut sim, log, FormatOptions::default())?;
-                }
-                let (array, _) =
-                    MultiTrail::start(&mut sim, logs_disks.clone(), data_disks.clone(), *config)?;
-                (
-                    Rc::new(MultiTrailStack::new(array.clone(), self.data_disks)),
-                    None,
-                    Some(array),
-                    logs_disks,
-                )
-            }
-            LogDevice::Standard => (
-                Rc::new(StandardStack::with_policy(
-                    data_disks.clone(),
-                    || self.scheduler.instantiate(),
-                    self.priority,
-                )),
-                None,
-                None,
-                Vec::new(),
-            ),
+        let instances = match &self.log_device {
+            LogDevice::TrailMulti { logs, .. } => (*logs).max(1),
+            _ => 1,
         };
+        let mut data_disks: Vec<Disk> = Vec::new();
+        let mut volumes: Vec<RaidVolume> = Vec::new();
+        // The driver a standard-stack disk or a RAID member runs behind.
+        let driver =
+            |d: Disk| StandardDriver::with_policy(d, self.scheduler.instantiate(), self.priority);
+        // Instance `i` writes back to `sets[i]`.
+        let sets: Vec<Vec<SharedBlockDevice>> = match self.volume {
+            None => {
+                data_disks = (0..self.data_disks)
+                    .map(|i| Disk::new(format!("data{i}"), self.data_profile.clone()))
+                    .collect();
+                let set = match self.log_device {
+                    LogDevice::Standard => data_disks
+                        .iter()
+                        .map(|d| Rc::new(driver(d.clone())) as SharedBlockDevice)
+                        .collect(),
+                    _ => writeback_targets(&data_disks),
+                };
+                vec![set; instances]
+            }
+            Some(spec) => {
+                // One volume per logical device; `tag` distinguishes
+                // per-instance sets under a Trail array.
+                let mut make_set = |tag: &str| -> Vec<SharedBlockDevice> {
+                    (0..self.data_disks)
+                        .map(|dev| {
+                            let members = (0..spec.members)
+                                .map(|m| {
+                                    let d = Disk::new(
+                                        format!("data{dev}{tag}m{m}"),
+                                        self.data_profile.clone(),
+                                    );
+                                    data_disks.push(d.clone());
+                                    driver(d)
+                                })
+                                .collect();
+                            let vol =
+                                RaidVolume::new(&format!("vol{dev}{tag}"), spec.layout, members);
+                            volumes.push(vol.clone());
+                            Rc::new(vol) as SharedBlockDevice
+                        })
+                        .collect()
+                };
+                if spec.per_instance && matches!(self.log_device, LogDevice::TrailMulti { .. }) {
+                    // Instance-major: volumes[i * devices + dev] is
+                    // instance i's array for device dev.
+                    (0..instances).map(|i| make_set(&format!("i{i}"))).collect()
+                } else {
+                    vec![make_set(""); instances]
+                }
+            }
+        };
+        let (stack, trail, multi, log_disks): (Rc<dyn BlockStack>, _, _, Vec<Disk>) =
+            match &self.log_device {
+                LogDevice::Trail { config } => {
+                    let log = Disk::new("trail-log", self.log_profile.clone());
+                    format_log_disk(&mut sim, &log, FormatOptions::default())?;
+                    let set = sets.into_iter().next().expect("one target set");
+                    let (drv, _) =
+                        TrailDriver::start_with_targets(&mut sim, log.clone(), set, *config)?;
+                    (
+                        Rc::new(TrailStack::new(drv.clone(), self.data_disks)),
+                        Some(drv),
+                        None,
+                        vec![log],
+                    )
+                }
+                LogDevice::TrailMulti { config, .. } => {
+                    let logs: Vec<Disk> = (0..instances)
+                        .map(|i| Disk::new(format!("log{i}"), self.log_profile.clone()))
+                        .collect();
+                    for log in &logs {
+                        format_log_disk(&mut sim, log, FormatOptions::default())?;
+                    }
+                    let (array, _) =
+                        MultiTrail::start_with_targets(&mut sim, logs.clone(), sets, *config)?;
+                    (
+                        Rc::new(MultiTrailStack::new(array.clone(), self.data_disks)),
+                        None,
+                        Some(array),
+                        logs,
+                    )
+                }
+                LogDevice::Standard => {
+                    let set = sets.into_iter().next().expect("one target set");
+                    (
+                        Rc::new(StandardStack::with_targets(set)),
+                        None,
+                        None,
+                        Vec::new(),
+                    )
+                }
+            };
         // Formatting runs the δ-calibration sweep, whose under-compensated
         // probes pay full rotations by design; start measurements clean.
         for log in &log_disks {
@@ -213,7 +271,7 @@ impl Scenario {
             LogDevice::Trail { .. } => log_disks.first().cloned(),
             _ => None,
         };
-        let fault_clock = self.arm_faults(&mut sim, &data_disks, &log_disks, &[]);
+        let fault_clock = self.arm_faults(&mut sim, &data_disks, &log_disks, &volumes);
         Ok(BuiltStack {
             seed: self.seed,
             sim,
@@ -222,7 +280,7 @@ impl Scenario {
             log_disks,
             trail,
             multi,
-            volumes: Vec::new(),
+            volumes,
             stack,
             fault_clock,
         })
@@ -251,133 +309,6 @@ impl Scenario {
         }
         clock.arm(sim, &self.faults);
         clock
-    }
-
-    /// Builds the volume-layer variant: each device is a
-    /// [`RaidVolume`] over `spec.members` fresh member disks.
-    fn build_with_volumes(&self, spec: VolumeSpec) -> Result<BuiltStack, TrailError> {
-        let mut sim = Simulator::new();
-        let mut data_disks: Vec<Disk> = Vec::new();
-        // One volume per logical device; `tag` distinguishes per-instance
-        // sets under a Trail array.
-        let make_set = |tag: &str, data_disks: &mut Vec<Disk>| -> Vec<RaidVolume> {
-            (0..self.data_disks)
-                .map(|dev| {
-                    let members: Vec<StandardDriver> = (0..spec.members)
-                        .map(|m| {
-                            let d =
-                                Disk::new(format!("data{dev}{tag}m{m}"), self.data_profile.clone());
-                            data_disks.push(d.clone());
-                            StandardDriver::with_policy(
-                                d,
-                                self.scheduler.instantiate(),
-                                self.priority,
-                            )
-                        })
-                        .collect();
-                    RaidVolume::new(&format!("vol{dev}{tag}"), spec.layout, members)
-                })
-                .collect()
-        };
-        let shared = |vols: &[RaidVolume]| -> Vec<SharedBlockDevice> {
-            vols.iter()
-                .map(|v| Rc::new(v.clone()) as SharedBlockDevice)
-                .collect()
-        };
-        let (stack, trail, multi, volumes, log_disks): (
-            Rc<dyn BlockStack>,
-            _,
-            _,
-            Vec<RaidVolume>,
-            Vec<Disk>,
-        ) = match &self.log_device {
-            LogDevice::Trail { config } => {
-                let volumes = make_set("", &mut data_disks);
-                let log = Disk::new("trail-log", self.log_profile.clone());
-                format_log_disk(&mut sim, &log, FormatOptions::default())?;
-                let (drv, _) = TrailDriver::start_with_targets(
-                    &mut sim,
-                    log.clone(),
-                    shared(&volumes),
-                    *config,
-                )?;
-                (
-                    Rc::new(TrailStack::new(drv.clone(), self.data_disks)),
-                    Some(drv),
-                    None,
-                    volumes,
-                    vec![log],
-                )
-            }
-            LogDevice::TrailMulti { logs, config } => {
-                let logs = (*logs).max(1);
-                let logs_disks: Vec<Disk> = (0..logs)
-                    .map(|i| Disk::new(format!("log{i}"), self.log_profile.clone()))
-                    .collect();
-                for log in &logs_disks {
-                    format_log_disk(&mut sim, log, FormatOptions::default())?;
-                }
-                let (volumes, targets): (Vec<RaidVolume>, Vec<Vec<SharedBlockDevice>>) =
-                    if spec.per_instance {
-                        // Instance-major: volumes[i * devices + dev] is
-                        // instance i's array for device dev.
-                        let mut volumes = Vec::new();
-                        let mut targets = Vec::new();
-                        for i in 0..logs {
-                            let set = make_set(&format!("i{i}"), &mut data_disks);
-                            targets.push(shared(&set));
-                            volumes.extend(set);
-                        }
-                        (volumes, targets)
-                    } else {
-                        let volumes = make_set("", &mut data_disks);
-                        let targets = (0..logs).map(|_| shared(&volumes)).collect();
-                        (volumes, targets)
-                    };
-                let (array, _) =
-                    MultiTrail::start_with_targets(&mut sim, logs_disks.clone(), targets, *config)?;
-                (
-                    Rc::new(MultiTrailStack::new(array.clone(), self.data_disks)),
-                    None,
-                    Some(array),
-                    volumes,
-                    logs_disks,
-                )
-            }
-            LogDevice::Standard => {
-                let volumes = make_set("", &mut data_disks);
-                (
-                    Rc::new(VolumeStack::new(shared(&volumes))),
-                    None,
-                    None,
-                    volumes,
-                    Vec::new(),
-                )
-            }
-        };
-        for log in &log_disks {
-            log.reset_stats();
-        }
-        for d in &data_disks {
-            d.reset_stats();
-        }
-        let log_disk = match &self.log_device {
-            LogDevice::Trail { .. } => log_disks.first().cloned(),
-            _ => None,
-        };
-        let fault_clock = self.arm_faults(&mut sim, &data_disks, &log_disks, &volumes);
-        Ok(BuiltStack {
-            seed: self.seed,
-            sim,
-            data_disks,
-            log_disk,
-            log_disks,
-            trail,
-            multi,
-            volumes,
-            stack,
-            fault_clock,
-        })
     }
 }
 
@@ -651,6 +582,130 @@ mod tests {
         built.sim.run();
         assert_eq!(built.fault_clock.unhandled(), 0);
         assert_eq!(built.volumes[0].failed_members(), vec![1]);
+    }
+
+    /// Writes one distinct pattern per device through the stack, reads each
+    /// back, and returns what the reads delivered.
+    fn round_trip(built: &mut BuiltStack) -> Vec<(Vec<u8>, Vec<u8>)> {
+        use std::cell::RefCell;
+        use trail_blockio::IoDone;
+        use trail_disk::SECTOR_SIZE;
+        use trail_sim::Delivered;
+        (0..built.stack.devices())
+            .map(|dev| {
+                let bytes = vec![0x41 + dev as u8; 2 * SECTOR_SIZE];
+                let got: Rc<RefCell<Option<Vec<u8>>>> = Rc::default();
+                let written = Rc::clone(&got);
+                let done = built.sim.completion(move |_, d: Delivered<IoDone>| {
+                    d.expect("write delivered");
+                    *written.borrow_mut() = Some(Vec::new());
+                });
+                built
+                    .stack
+                    .write(&mut built.sim, dev, 64, bytes.clone(), done)
+                    .expect("write accepted");
+                while got.borrow().is_none() {
+                    assert!(built.sim.step(), "write on device {dev} stalled");
+                }
+                got.borrow_mut().take();
+                let read = Rc::clone(&got);
+                let done = built.sim.completion(move |_, d: Delivered<IoDone>| {
+                    *read.borrow_mut() = d.expect("read delivered").data;
+                });
+                built
+                    .stack
+                    .read(&mut built.sim, dev, 64, 2, done)
+                    .expect("read accepted");
+                while got.borrow().is_none() {
+                    assert!(built.sim.step(), "read on device {dev} stalled");
+                }
+                let back = got.borrow_mut().take().expect("read returned data");
+                (bytes, back)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_log_device_builds_over_every_data_target() {
+        let devices = 2;
+        let logs = 2;
+        let config = TrailConfig::default();
+        let mirror = VolumeSpec {
+            layout: VolumeLayout::Raid1 {
+                read_policy: trail_volume::ReadPolicy::RoundRobin,
+            },
+            members: 2,
+            per_instance: false,
+        };
+        let per_instance = VolumeSpec {
+            per_instance: true,
+            ..mirror
+        };
+        let cases = [
+            (LogDevice::Trail { config }, None),
+            (LogDevice::Trail { config }, Some(mirror)),
+            (LogDevice::TrailMulti { logs, config }, None),
+            (LogDevice::TrailMulti { logs, config }, Some(mirror)),
+            (LogDevice::TrailMulti { logs, config }, Some(per_instance)),
+            (LogDevice::Standard, None),
+            (LogDevice::Standard, Some(mirror)),
+        ];
+        for (log_device, volume) in cases {
+            let case = format!("{log_device:?} over {volume:?}");
+            let mut built = Scenario {
+                data_disks: devices,
+                data_profile: profiles::tiny_test_disk(),
+                log_profile: profiles::tiny_test_disk(),
+                log_device: log_device.clone(),
+                volume,
+                ..Scenario::default()
+            }
+            .build()
+            .unwrap_or_else(|e| panic!("{case}: {e}"));
+            let (single, multi) = match log_device {
+                LogDevice::Trail { .. } => (true, false),
+                LogDevice::TrailMulti { .. } => (false, true),
+                LogDevice::Standard => (false, false),
+            };
+            let want_logs: Vec<String> = match log_device {
+                LogDevice::Trail { .. } => vec!["trail-log".into()],
+                LogDevice::TrailMulti { .. } => (0..logs).map(|i| format!("log{i}")).collect(),
+                LogDevice::Standard => Vec::new(),
+            };
+            let want_data: Vec<String> = match volume {
+                None => (0..devices).map(|i| format!("data{i}")).collect(),
+                Some(spec) => {
+                    let tags: Vec<String> = if spec.per_instance {
+                        (0..logs).map(|i| format!("i{i}")).collect()
+                    } else {
+                        vec![String::new()]
+                    };
+                    tags.iter()
+                        .flat_map(|tag| {
+                            (0..devices).flat_map(move |dev| {
+                                (0..spec.members).map(move |m| format!("data{dev}{tag}m{m}"))
+                            })
+                        })
+                        .collect()
+                }
+            };
+            let names = |disks: &[Disk]| disks.iter().map(Disk::name).collect::<Vec<_>>();
+
+            assert_eq!(built.stack.devices(), devices, "{case}");
+            assert_eq!(names(&built.data_disks), want_data, "{case}");
+            assert_eq!(names(&built.log_disks), want_logs, "{case}");
+            assert_eq!(built.log_disk.is_some(), single, "{case}");
+            assert_eq!(built.trail.is_some(), single, "{case}");
+            assert_eq!(built.multi.is_some(), multi, "{case}");
+            assert_eq!(
+                built.volumes.len(),
+                volume.map_or(0, |v| devices * if v.per_instance { logs } else { 1 }),
+                "{case}"
+            );
+            for (dev, (wrote, read)) in round_trip(&mut built).into_iter().enumerate() {
+                assert!(wrote == read, "{case}: device {dev} read back other bytes");
+            }
+        }
     }
 
     #[test]
