@@ -242,6 +242,18 @@ for field in compression_ratio trace_bytes_raw shards; do
   grep -q "\"$field\"" "$giga_dir/BENCH_replaystream.json" \
     || { echo "replay_giga artifact lacks $field" >&2; exit 1; }
 done
+# Memory gate: the medium holds one-byte-pattern sectors in its index,
+# so the 10^7-record slice must peak at no more than 1024 MB (it took
+# gigabytes when every written sector held a 512-byte image). Hosts
+# without /proc/self/status print "unavailable" and skip the check.
+rss=$(echo "$giga_out" | sed -n 's/^peak rss: \([0-9]*\) MB$/\1/p')
+if [ -n "$rss" ]; then
+  [ "$rss" -le 1024 ] \
+    || { echo "replay_giga peak RSS ${rss} MB exceeds 1024 MB" >&2; exit 1; }
+else
+  grep -q '^peak rss: unavailable$' <<<"$giga_out" \
+    || { echo "replay_giga printed no peak rss line" >&2; exit 1; }
+fi
 # The >= 2x sharded speedup criterion is a wall-clock property and only
 # meaningful with real cores under the shards; assert it when this
 # machine has at least 4, otherwise record the measurement and move on.

@@ -19,7 +19,10 @@
 //!
 //! - trace size raw vs delta-compressed, with the ratio,
 //! - records/sec single-engine vs sharded, with a `speedup:` line,
-//! - the peak-resident-records proxy for both runs.
+//! - the peak-resident-records proxy for both runs,
+//! - a `peak rss: N MB` line: the process's peak resident memory
+//!   (`VmHWM` in `/proc/self/status`), or `peak rss: unavailable` where
+//!   that file does not exist.
 //!
 //! The JSON artifact (`BENCH_replaystream.json` in `--out-dir`) holds
 //! only virtual-time-derived fields plus the two file sizes — it is
@@ -167,6 +170,10 @@ fn main() {
         "fingerprint: {:016x} (single == sharded)",
         single.latency_fingerprint
     );
+    match peak_rss_mb() {
+        Some(mb) => println!("peak rss: {mb} MB"),
+        None => println!("peak rss: unavailable"),
+    }
 
     let chunk = DEFAULT_CHUNK_RECORDS;
     let mut json = replay_stream_json(&sharded, chunk, delta_bytes);
@@ -203,4 +210,19 @@ fn compress(src: &std::path::Path, dst: &std::path::Path) -> Result<u64, String>
     }
     w.finish().map_err(|e| e.to_string())?;
     Ok(std::fs::metadata(dst).map_err(|e| e.to_string())?.len())
+}
+
+/// The process's peak resident memory in whole MB, from `VmHWM` in
+/// `/proc/self/status`; `None` where that file or field does not exist.
+fn peak_rss_mb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb.div_ceil(1024))
 }

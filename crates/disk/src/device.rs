@@ -414,14 +414,15 @@ impl Disk {
                 DiskCommand::Write { data, .. } => (data.len() / SECTOR_SIZE) as u32,
                 DiskCommand::Seek { .. } => 0,
             };
-            // Stage the write payload by moving it out of the command —
-            // no per-sector copies on the happy path.
+            // Stage the write payload and its media instants by moving
+            // them out of the command and the plan — no copies on the
+            // happy path.
             if let DiskCommand::Write { lba, data } = cmd {
                 debug_assert!(d.in_flight.is_none(), "one command in flight at a time");
                 d.in_flight = Some(StagedWrite {
                     lba,
                     data,
-                    sector_done: plan.sector_done.clone(),
+                    sector_done: std::mem::take(&mut plan.sector_done),
                 });
             }
             d.busy = true;
@@ -476,7 +477,6 @@ impl Disk {
                         Rc::clone(&d.recorder),
                         d.name.clone(),
                         d.mech.rotation_period,
-                        d.head.cylinder,
                     )
                 });
                 let result = DiskResult {
@@ -489,15 +489,15 @@ impl Disk {
                 };
                 (result, telemetry)
             };
-            if let Some((recorder, name, rotation_period, to_cyl)) = telemetry {
+            if let Some((recorder, name, rotation_period)) = telemetry {
                 emit_phase_events(
                     &*recorder,
                     &name,
                     &result,
                     &plan,
+                    count,
                     rotation_period,
                     from_cyl,
-                    to_cyl,
                 );
             }
             done.complete(sim, result);
@@ -620,15 +620,18 @@ impl Disk {
 /// consecutive spans. For multi-track transfers the per-phase sums are
 /// rendered as single spans (the decomposition stays exact; only the
 /// interleaving of repeated seek/rotate/transfer cycles is collapsed).
+/// `sectors` is the command's transfer length: a write's
+/// `plan.sector_done` has moved into its staged payload by now.
 fn emit_phase_events(
     recorder: &dyn trail_telemetry::Recorder,
     name: &str,
     result: &DiskResult,
     plan: &crate::mechanics::ServicePlan,
+    sectors: u32,
     rotation_period: SimDuration,
     from_cyl: u32,
-    to_cyl: u32,
 ) {
+    let to_cyl = plan.end_head.cylinder;
     let b = result.breakdown;
     let ev = |at: SimTime, dur: SimDuration, kind: EventKind| Event {
         at,
@@ -653,13 +656,7 @@ fn emit_phase_events(
         recorder.record(ev(t, SimDuration::ZERO, EventKind::FullRotationMiss));
     }
     t += b.rotation;
-    recorder.record(ev(
-        t,
-        b.transfer,
-        EventKind::Transfer {
-            sectors: plan.sector_done.len() as u32,
-        },
-    ));
+    recorder.record(ev(t, b.transfer, EventKind::Transfer { sectors }));
     if plan.track_switches > 0 {
         recorder.record(ev(
             t,
