@@ -69,31 +69,40 @@ if grep -rn --include='*.rs' \
   exit 1
 fi
 
+echo "== single-scenario entry point gate =="
+# run_all --filter is the one way to run a registered scenario; no
+# binary may wrap the registry again (perf_suite times scenarios through
+# the library's perf module, not a bin-level run_scenario call).
+if grep -rn --include='*.rs' 'run_scenario(' crates/bench/src/bin; then
+  echo "found a per-scenario wrapper binary; use run_all --filter <name>" >&2
+  exit 1
+fi
+
+# One scenario through run_all --filter, quick, into its own directory.
+run_one() {
+  cargo run --release --offline -p trail-bench --bin run_all -- \
+    --quick --filter "$1" --out-dir "$2" >/dev/null
+}
+
 echo "== serve_fleet determinism gate (byte-identical across runs) =="
 serve_a="$smoke_dir/serve_a"; serve_b="$smoke_dir/serve_b"
-mkdir -p "$serve_a" "$serve_b"
-cargo run --release --offline -p trail-bench --bin serve_fleet -- \
-  --quick --out-dir "$serve_a" >/dev/null
-cargo run --release --offline -p trail-bench --bin serve_fleet -- \
-  --quick --out-dir "$serve_b" >/dev/null
+run_one serve_fleet "$serve_a"
+run_one serve_fleet "$serve_b"
 cmp -s "$serve_a/BENCH_serve.json" "$serve_b/BENCH_serve.json" \
   || { echo "BENCH_serve.json is not byte-identical across runs" >&2; exit 1; }
-# The run_all smoke above ran the same scenario through the threaded
-# runner; its artifact must match the standalone binary's byte for byte.
+# The full smoke run above ran every scenario side by side on the
+# threaded runner; the single-scenario run must match it byte for byte.
 cmp -s "$serve_a/BENCH_serve.json" "$smoke_dir/BENCH_serve.json" \
-  || { echo "BENCH_serve.json differs between serve_fleet and run_all" >&2; exit 1; }
+  || { echo "BENCH_serve.json differs between the single-scenario and full runs" >&2; exit 1; }
 
 echo "== raid_sweep gate (deterministic, degraded mode, per-member stats) =="
 raid_a="$smoke_dir/raid_a"; raid_b="$smoke_dir/raid_b"
-mkdir -p "$raid_a" "$raid_b"
-cargo run --release --offline -p trail-bench --bin raid_sweep -- \
-  --quick --out-dir "$raid_a" >/dev/null
-cargo run --release --offline -p trail-bench --bin raid_sweep -- \
-  --quick --out-dir "$raid_b" >/dev/null
+run_one raid_sweep "$raid_a"
+run_one raid_sweep "$raid_b"
 cmp -s "$raid_a/BENCH_raid.json" "$raid_b/BENCH_raid.json" \
   || { echo "BENCH_raid.json is not byte-identical across runs" >&2; exit 1; }
 cmp -s "$raid_a/BENCH_raid.json" "$smoke_dir/BENCH_raid.json" \
-  || { echo "BENCH_raid.json differs between raid_sweep and run_all" >&2; exit 1; }
+  || { echo "BENCH_raid.json differs between the single-scenario and full runs" >&2; exit 1; }
 # Degraded-mode rows and per-member latency breakdowns must be present.
 for field in degraded_reads members small_write_speedup; do
   grep -q "\"$field\"" "$raid_a/BENCH_raid.json" \
@@ -108,15 +117,12 @@ awk -v s="$speedup" 'BEGIN { exit !(s >= 2.0) }' \
 
 echo "== crash campaign gate (deterministic, zero violations, monotone curve) =="
 camp_a="$smoke_dir/camp_a"; camp_b="$smoke_dir/camp_b"
-mkdir -p "$camp_a" "$camp_b"
-cargo run --release --offline -p trail-bench --bin crash_campaign -- \
-  --quick --out-dir "$camp_a" >/dev/null
-cargo run --release --offline -p trail-bench --bin crash_campaign -- \
-  --quick --out-dir "$camp_b" >/dev/null
+run_one crash_campaign "$camp_a"
+run_one crash_campaign "$camp_b"
 cmp -s "$camp_a/BENCH_recovery.json" "$camp_b/BENCH_recovery.json" \
   || { echo "BENCH_recovery.json is not byte-identical across runs" >&2; exit 1; }
 cmp -s "$camp_a/BENCH_recovery.json" "$smoke_dir/BENCH_recovery.json" \
-  || { echo "BENCH_recovery.json differs between crash_campaign and run_all" >&2; exit 1; }
+  || { echo "BENCH_recovery.json differs between the single-scenario and full runs" >&2; exit 1; }
 # Every sampled crash point must satisfy the durability contract (the
 # scenario itself asserts monotonicity of the recovery-time curve).
 grep -q '"violations":0,' "$camp_a/BENCH_recovery.json" \

@@ -1,8 +1,10 @@
 //! Regenerates every table and figure of the paper in one command, each
-//! scenario on its own worker thread.
+//! scenario on its own worker thread. It is the one way to run a
+//! registered scenario.
 //!
 //! ```text
 //! run_all [--quick] [--threads N] [--seed S] [--out-dir DIR] [--filter SUB]
+//!         [--scale N] [--trace-out PATH] [--metrics-out PATH]
 //! ```
 //!
 //! - `--quick` runs the shrunk sweeps (seconds, the CI smoke gate);
@@ -15,44 +17,35 @@
 //! - `--filter SUB` runs only scenarios whose registry name contains the
 //!   substring `SUB` (e.g. `--filter serve` runs `serve_fleet` and
 //!   `serve_sweep`).
+//! - `--scale N` overrides the scenario's headline count (writes per
+//!   cell for `fig3`, transactions for the TPC-C scenarios, crash points
+//!   per Q for `crash_campaign`, …).
+//! - `--trace-out PATH` writes a Chrome trace-event JSON of every layer
+//!   (load it in Perfetto); `--metrics-out PATH` writes the aggregated
+//!   metrics JSON.
+//!
+//! `--scale`, `--trace-out` and `--metrics-out` need a `--filter` that
+//! selects exactly one scenario; anything else is a usage error (exit
+//! status 2).
 //!
 //! Reports print and JSON files are written in registry order from the
 //! main thread, so the artifacts are byte-identical at any thread count.
 
-use std::path::PathBuf;
+use std::process::ExitCode;
 
 use trail_bench::{run_all_scenarios, RunAllOptions};
 
-fn main() {
-    let mut opts = RunAllOptions::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => opts.quick = true,
-            "--threads" => {
-                opts.threads = it
-                    .next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("--threads needs a number");
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed needs a number");
-            }
-            "--out-dir" => {
-                opts.out_dir = PathBuf::from(it.next().expect("--out-dir needs a path"));
-            }
-            "--filter" => {
-                opts.filter = Some(it.next().expect("--filter needs a substring"));
-            }
-            other => panic!("unknown argument {other:?} (see run_all --help in the source)"),
-        }
-    }
+const USAGE: &str = "usage: run_all [--quick] [--threads N] [--seed S] [--out-dir DIR] \
+[--filter SUB] [--scale N] [--trace-out PATH] [--metrics-out PATH]";
 
+fn main() -> ExitCode {
+    let opts = match RunAllOptions::from_args(std::env::args().skip(1)) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("run_all: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let summary = run_all_scenarios(&opts).expect("write bench artifacts");
     for r in &summary.results {
         println!();
@@ -64,6 +57,14 @@ fn main() {
             r.json_path.display(),
             r.wall.as_secs_f64()
         );
+        if let Some(events) = r.recorded_events {
+            if let Some(p) = &opts.trace_out {
+                eprintln!("wrote Chrome trace ({events} events) to {}", p.display());
+            }
+            if let Some(p) = &opts.metrics_out {
+                eprintln!("wrote metrics to {}", p.display());
+            }
+        }
     }
     println!();
     println!(
@@ -74,4 +75,5 @@ fn main() {
         summary.elapsed.as_secs_f64(),
         summary.speedup()
     );
+    ExitCode::SUCCESS
 }

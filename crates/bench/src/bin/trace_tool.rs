@@ -12,7 +12,7 @@
 //! trace_tool convert  in.trace out.jsonl      (direction by extension)
 //!                     [--compress | --raw] [--chunk-records C]
 //! trace_tool replay   t.trace [--target all|standard|trail|trail_multi2|ext2|lfs]
-//!                     [--speed X] [--quick] [--out-dir DIR]
+//!                     [--speed X] [--quick] [--out-dir DIR (default .)]
 //! ```
 //!
 //! Binary traces are processed **chunk at a time**: `generate`,
@@ -39,7 +39,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
-use trail_bench::{write_bench_json, write_bench_json_in, TpccRig};
+use trail_bench::{write_bench_json_in, TpccRig};
 use trail_sim::{SimDuration, SimTime};
 use trail_tpcc::{run, ChainOn, RunConfig};
 use trail_trace::codec::{
@@ -495,7 +495,7 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let path = positional(args, 0, "trace file")?;
     let speed = parse(args, "--speed", 1.0f64)?;
     let quick = has(args, "--quick");
-    let out_dir = flag(args, "--out-dir");
+    let out_dir = flag(args, "--out-dir").unwrap_or_else(|| ".".to_string());
     let which = flag(args, "--target").unwrap_or_else(|| "all".to_string());
     let targets: Vec<TargetKind> = match which.as_str() {
         "all" => vec![
@@ -562,16 +562,9 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
             }
         }
         let name = format!("replay_{}", rep.target);
-        match &out_dir {
-            Some(dir) => {
-                let path = write_bench_json_in(std::path::Path::new(dir), &name, &rep.to_json())
-                    .map_err(|e| e.to_string())?;
-                eprintln!("wrote {}", path.display());
-            }
-            None => {
-                write_bench_json(&name, &rep.to_json()).map_err(|e| e.to_string())?;
-            }
-        }
+        let path = write_bench_json_in(std::path::Path::new(&out_dir), &name, &rep.to_json())
+            .map_err(|e| e.to_string())?;
+        eprintln!("wrote {}", path.display());
     }
     Ok(())
 }

@@ -1,11 +1,12 @@
 //! # trail-bench: shared harness code for the paper's experiments
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` §3 for the index and `EXPERIMENTS.md` for
-//! paper-vs-measured results). This library holds the setups they share:
-//! building the two storage stacks over the paper's drive complement, the
-//! synchronous-write workload generators of §5.1, and the TPC-C rig of
-//! §5.2.
+//! Every table and figure of the paper is a scenario in one registry
+//! ([`all_scenarios`]); the `run_all` binary runs any subset of it (see
+//! `DESIGN.md` §3 for the index and `EXPERIMENTS.md` for
+//! paper-vs-measured results). This library holds the scenarios and the
+//! setups they share: building the two storage stacks over the paper's
+//! drive complement, the synchronous-write workload generators of §5.1,
+//! and the TPC-C rig of §5.2.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +28,7 @@ pub mod report;
 pub mod runner;
 pub mod scenarios;
 pub use campaign::{run_campaign, CampaignFlavor, CampaignSpec, CrashPointOutcome};
-pub use report::{write_bench_json, write_bench_json_in, BenchArgs};
+pub use report::write_bench_json_in;
 pub use runner::{parallel_map, run_all_scenarios, RunAllOptions, RunAllSummary};
 pub use scenarios::{
     all_scenarios, replay_stream_json, run_scenario, ScenarioConfig, ScenarioOutput, ScenarioSpec,

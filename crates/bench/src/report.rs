@@ -1,158 +1,26 @@
-//! Machine-readable bench artifacts: `BENCH_<name>.json` result files and
-//! the shared `--trace-out` / `--metrics-out` command-line plumbing.
-//!
-//! Every table/figure binary serializes its headline numbers through
-//! [`write_bench_json`] so the perf trajectory is tracked across PRs, and
-//! accepts `--trace-out <path>` (Chrome trace-event JSON, loadable in
-//! Perfetto) and `--metrics-out <path>` (compact metrics JSON) via
-//! [`BenchArgs`].
+//! Machine-readable bench artifacts: the `BENCH_<name>.json` result
+//! files that `run_all`, `perf_suite`, `trace_tool replay`,
+//! `replay_stream` and `replay_giga` publish, so the perf trajectory is
+//! tracked across changes. (`run_all`'s `--trace-out` / `--metrics-out`
+//! telemetry files are written by [`crate::runner`].)
 
-use std::path::PathBuf;
-use std::rc::Rc;
+use std::path::{Path, PathBuf};
 
-use trail_telemetry::{chrome_trace_string, metrics_json_string, JsonValue, MemoryRecorder};
-
-/// Command-line options shared by the bench binaries.
-#[derive(Clone, Debug, Default)]
-pub struct BenchArgs {
-    /// Where to write a Chrome trace-event JSON (`--trace-out <path>`).
-    pub trace_out: Option<PathBuf>,
-    /// Where to write the compact metrics JSON (`--metrics-out <path>`).
-    pub metrics_out: Option<PathBuf>,
-    /// Remaining arguments, in order, with the two flags stripped.
-    pub positional: Vec<String>,
-}
-
-impl BenchArgs {
-    /// Parses the process arguments (excluding `argv[0]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flag is given without its path operand.
-    pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    /// Parses an explicit argument list (testable form of
-    /// [`parse`](Self::parse)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flag is given without its path operand.
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
-        let mut out = BenchArgs::default();
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--trace-out" => {
-                    out.trace_out =
-                        Some(PathBuf::from(it.next().expect("--trace-out needs a path")));
-                }
-                "--metrics-out" => {
-                    out.metrics_out = Some(PathBuf::from(
-                        it.next().expect("--metrics-out needs a path"),
-                    ));
-                }
-                _ => out.positional.push(a),
-            }
-        }
-        out
-    }
-
-    /// A recorder to attach to the stack under test, when either output
-    /// was requested; `None` means run with the zero-cost `NullRecorder`.
-    pub fn recorder(&self) -> Option<Rc<MemoryRecorder>> {
-        (self.trace_out.is_some() || self.metrics_out.is_some()).then(MemoryRecorder::shared)
-    }
-
-    /// Writes the requested output files from `recorder`'s events.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-system errors.
-    pub fn write_outputs(&self, recorder: &MemoryRecorder) -> std::io::Result<()> {
-        let events = recorder.snapshot();
-        if let Some(p) = &self.trace_out {
-            std::fs::write(p, chrome_trace_string(&events))?;
-            eprintln!(
-                "wrote Chrome trace ({} events) to {}",
-                events.len(),
-                p.display()
-            );
-        }
-        if let Some(p) = &self.metrics_out {
-            std::fs::write(p, metrics_json_string(&events))?;
-            eprintln!("wrote metrics to {}", p.display());
-        }
-        Ok(())
-    }
-}
+use trail_telemetry::JsonValue;
 
 /// Serializes one bench run's headline results to `BENCH_<name>.json` in
-/// the current directory, returning the path written.
-///
-/// # Errors
-///
-/// Propagates file-system errors.
-pub fn write_bench_json(name: &str, results: &JsonValue) -> std::io::Result<PathBuf> {
-    let path = PathBuf::from(format!("BENCH_{name}.json"));
-    std::fs::write(&path, results.to_json())?;
-    eprintln!("wrote {}", path.display());
-    Ok(path)
-}
-
-/// [`write_bench_json`] into an explicit directory, silently (the
-/// `run_all` runner prints its own ledger). Returns the path written.
+/// `dir`, silently (each caller prints its own `wrote …` line). Returns
+/// the path written.
 ///
 /// # Errors
 ///
 /// Propagates file-system errors.
 pub fn write_bench_json_in(
-    dir: &std::path::Path,
+    dir: &Path,
     name: &str,
     results: &JsonValue,
 ) -> std::io::Result<PathBuf> {
     let path = dir.join(format!("BENCH_{name}.json"));
     std::fs::write(&path, results.to_json())?;
     Ok(path)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_flags_and_positionals() {
-        let args = BenchArgs::from_args(
-            [
-                "500",
-                "--trace-out",
-                "t.json",
-                "--metrics-out",
-                "m.json",
-                "extra",
-            ]
-            .map(String::from),
-        );
-        assert_eq!(
-            args.trace_out.as_deref(),
-            Some(std::path::Path::new("t.json"))
-        );
-        assert_eq!(
-            args.metrics_out.as_deref(),
-            Some(std::path::Path::new("m.json"))
-        );
-        assert_eq!(
-            args.positional,
-            vec!["500".to_string(), "extra".to_string()]
-        );
-        assert!(args.recorder().is_some());
-    }
-
-    #[test]
-    fn no_flags_means_no_recorder() {
-        let args = BenchArgs::from_args(["5000".to_string()]);
-        assert!(args.recorder().is_none());
-        assert_eq!(args.positional, vec!["5000".to_string()]);
-    }
 }

@@ -1,10 +1,9 @@
 //! Every table/figure experiment as a callable scenario.
 //!
 //! Each scenario function runs one paper experiment to completion and
-//! returns a [`ScenarioOutput`]: the human-readable report the old
-//! binaries printed, plus the `BENCH_<name>.json` payload. The binaries
-//! in `src/bin/` are thin wrappers over these functions, and the
-//! `run_all` runner executes the whole registry in parallel — each
+//! returns a [`ScenarioOutput`]: the human-readable report, plus the
+//! `BENCH_<name>.json` payload. The `run_all` runner executes the
+//! registry (or the part of it `--filter` selects) in parallel — each
 //! scenario builds its own single-threaded `Simulator`, so scenarios are
 //! embarrassingly parallel by construction.
 //!
@@ -57,8 +56,8 @@ pub struct ScenarioConfig {
     /// per-experiment seeds.
     pub seed: u64,
     /// Overrides the experiment's headline count (writes for `fig3`,
-    /// transactions for the TPC-C scenarios), like the old binaries'
-    /// positional argument.
+    /// transactions for the TPC-C scenarios, crash points for
+    /// `crash_campaign`); `run_all --filter <name> --scale N` sets it.
     pub scale: Option<usize>,
     /// Telemetry recorder attached to every stack the scenario builds.
     pub recorder: Option<RecorderHandle>,
@@ -93,7 +92,7 @@ impl ScenarioConfig {
 
 /// What one scenario produced.
 pub struct ScenarioOutput {
-    /// The human-readable report (what the old binary printed).
+    /// The human-readable report (what `run_all` prints).
     pub report: String,
     /// The `BENCH_<name>.json` payload.
     pub json: JsonValue,
@@ -101,8 +100,7 @@ pub struct ScenarioOutput {
 
 /// A named entry in the scenario registry.
 pub struct ScenarioSpec {
-    /// The registry name (what `run_all --filter` matches and the
-    /// per-scenario binaries are called).
+    /// The registry name (what `run_all --filter` matches).
     pub name: &'static str,
     /// The `BENCH_<artifact>.json` stem — usually the name, but a
     /// scenario may publish under a shorter artifact stem (`serve_fleet`
@@ -225,8 +223,9 @@ pub fn all_scenarios() -> Vec<ScenarioSpec> {
     ]
 }
 
-/// Runs the registered scenario called `name`; `None` if unknown. This is
-/// how the per-table binaries reach their scenario.
+/// Runs the registered scenario called `name` on the calling thread;
+/// `None` if unknown. The wall-clock profiler (`perf_suite`) times
+/// scenarios through it.
 #[must_use]
 pub fn run_scenario(name: &str, cfg: &ScenarioConfig) -> Option<ScenarioOutput> {
     all_scenarios()

@@ -13,7 +13,7 @@ fn run_into(dir: &Path, threads: usize, seed: u64) -> (Vec<PathBuf>, Vec<(&'stat
         seed,
         threads,
         out_dir: dir.to_path_buf(),
-        filter: None,
+        ..RunAllOptions::default()
     })
     .expect("runner writes artifacts");
     assert_eq!(
@@ -112,4 +112,53 @@ fn fixed_seed_is_byte_identical_across_thread_counts() {
     // The seed knob must not be vacuous: at least one scenario's numbers
     // have to move when the base seed changes.
     assert!(any_seed_sensitive, "--seed changed nothing");
+}
+
+#[test]
+fn traced_single_scenario_run_leaves_its_artifact_unchanged() {
+    let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("run_all_traced");
+    let run = |dir: &str, traced: bool| {
+        let out_dir = base.join(dir);
+        let opts = RunAllOptions {
+            quick: true,
+            out_dir: out_dir.clone(),
+            filter: Some("fig3".into()),
+            trace_out: traced.then(|| out_dir.join("trace.json")),
+            ..RunAllOptions::default()
+        };
+        let summary = run_all_scenarios(&opts).expect("fig3 runs");
+        assert_eq!(summary.results.len(), 1);
+        assert_eq!(
+            summary.results[0].recorded_events.is_some(),
+            traced,
+            "a recorder exactly when an output was asked for"
+        );
+        out_dir
+    };
+    let traced = run("traced", true);
+    let plain = run("plain", false);
+
+    let text = std::fs::read_to_string(traced.join("trace.json")).expect("trace written");
+    let trace = trail_telemetry::JsonValue::parse(&text).expect("trace parses");
+    let events = trace
+        .get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .expect("traceEvents array");
+    // Every recorded event names its layer's lane as its category (the
+    // lane-label metadata events carry none).
+    for layer in ["disk", "blockio", "core"] {
+        assert!(
+            events
+                .iter()
+                .any(|e| e.get("cat").and_then(|c| c.as_str()) == Some(layer)),
+            "trace has no {layer} lane events"
+        );
+    }
+    assert!(!plain.join("trace.json").exists());
+    // Recording must not perturb the virtual-time results.
+    assert_eq!(
+        std::fs::read(traced.join("BENCH_fig3.json")).expect("traced artifact"),
+        std::fs::read(plain.join("BENCH_fig3.json")).expect("plain artifact"),
+        "BENCH_fig3.json differs between traced and untraced runs"
+    );
 }

@@ -1,6 +1,6 @@
 //! Full-stack telemetry acceptance tests: exact latency decomposition,
 //! deterministic event streams, zero perturbation when recording, and a
-//! parseable Chrome trace from the `fig3` binary.
+//! parseable Chrome trace from `run_all --filter fig3`.
 
 use std::rc::Rc;
 
@@ -125,25 +125,26 @@ fn recording_does_not_perturb_latency_results() {
     assert_eq!(plain.latency.max(), recorded.latency.max());
 }
 
-/// Acceptance: `fig3 --trace-out` produces a Chrome trace-event JSON that
-/// parses, survives a serialize/parse round trip, and contains at least
-/// one event of every disk, blockio, and core event kind.
+/// Acceptance: `run_all --filter fig3 --trace-out` produces a Chrome
+/// trace-event JSON that parses, survives a serialize/parse round trip,
+/// and contains at least one event of every disk, blockio, and core
+/// event kind.
 #[test]
 fn fig3_trace_out_round_trips_and_covers_all_kinds() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     std::fs::create_dir_all(dir).expect("tmpdir");
     let trace_path = dir.join("fig3_trace.json");
     let metrics_path = dir.join("fig3_metrics.json");
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_fig3"))
-        .arg("40")
-        .arg("--trace-out")
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--filter", "fig3", "--scale", "40", "--trace-out"])
         .arg(&trace_path)
         .arg("--metrics-out")
         .arg(&metrics_path)
         .current_dir(dir)
+        .stdout(std::process::Stdio::null())
         .status()
-        .expect("run fig3");
-    assert!(status.success(), "fig3 exited with {status}");
+        .expect("run run_all");
+    assert!(status.success(), "run_all exited with {status}");
 
     let text = std::fs::read_to_string(&trace_path).expect("read trace");
     let trace = JsonValue::parse(&text).expect("trace parses");

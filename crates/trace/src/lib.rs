@@ -45,8 +45,8 @@ pub mod shard;
 
 pub use capture::{StreamingCapture, TraceCapture};
 pub use codec::{
-    from_binary, from_jsonl, to_binary, to_binary_v1, to_binary_v2, to_jsonl, TraceError,
-    TraceReader, TraceWriter, DEFAULT_CHUNK_RECORDS, RECORD_BYTES, TRACE_MAGIC,
+    from_binary, from_jsonl, to_binary, to_jsonl, TraceError, TraceReader, TraceWriter,
+    DEFAULT_CHUNK_RECORDS, RECORD_BYTES, TRACE_MAGIC,
 };
 pub use format::{
     ChunkEncoding, StreamSummary, StreamSummaryBuilder, StreamView, Trace, TraceMeta, TraceOp,

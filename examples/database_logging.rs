@@ -112,7 +112,7 @@ fn main() -> Result<(), TrailError> {
         );
     }
     println!(
-        "\n(The paper's Table 2 at full scale: cargo run --release -p trail-bench --bin table2)"
+        "\n(The paper's Table 2 at full scale: cargo run --release -p trail-bench --bin run_all -- --filter table2)"
     );
     Ok(())
 }

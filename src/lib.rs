@@ -56,10 +56,11 @@
 //!
 //! # Reproducing the paper
 //!
-//! Every table and figure has a harness binary in `trail-bench`; run the
-//! whole suite in parallel with
+//! Every table and figure is a scenario in `trail-bench`; run the whole
+//! suite in parallel with
 //! `cargo run --release -p trail-bench --bin run_all`, or one experiment
-//! with `cargo run --release -p trail-bench --bin table2`. See
+//! with `cargo run --release -p trail-bench --bin run_all -- --filter
+//! table2`. See
 //! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
 //! paper-vs-measured results.
 
